@@ -105,15 +105,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _executor_spec(kind: str | None, timeout_s: float | None = None):
-    """An :class:`~repro.spec.ExecutorSpec` for CLI flags (or ``None``)."""
-    from .spec import ExecutorSpec
-
-    if kind is None:
-        return None
-    return ExecutorSpec(kind=kind, timeout_s=timeout_s)
-
-
 def _expand_member_specs(
     members: Sequence[str],
     learner: str = "ttt",
@@ -132,7 +123,7 @@ def _expand_member_specs(
     from pathlib import Path
 
     from .registry import resolve_targets
-    from .spec import ExperimentSpec
+    from .spec import ExecutorSpec, ExperimentSpec
 
     load_builtins()
     families = SUL_REGISTRY.families()
@@ -147,7 +138,7 @@ def _expand_member_specs(
                     seed=seed,
                     workers=sul_workers,
                     name=member,
-                    executor=_executor_spec(executor),
+                    executor=executor,
                 )
             )
             continue
@@ -160,7 +151,7 @@ def _expand_member_specs(
             if spec.name is None:
                 spec.name = path.stem
             if executor is not None:  # the CLI flag overrides the file
-                spec.executor = _executor_spec(executor)
+                spec.executor = ExecutorSpec.from_dict(executor)
             specs.append(spec)
             continue
         known = ", ".join(sorted(set(families) | set(SUL_REGISTRY.names())))
@@ -196,6 +187,8 @@ def _cmd_properties(args: argparse.Namespace) -> int:
             # A spec file's own section wins; CLI formulas are appended.
             spec.properties.formulas.extend(formulas)
     try:
+        for spec in specs:
+            spec.properties.validate()
         resolved = [
             resolve_properties(
                 spec.target,
@@ -205,7 +198,7 @@ def _cmd_properties(args: argparse.Namespace) -> int:
             )
             for spec in specs
         ]
-    except RegistryError as error:
+    except (RegistryError, SpecError) as error:
         print(f"invalid property campaign: {error}", file=sys.stderr)
         return 2
     if args.list:
@@ -282,19 +275,18 @@ def _cmd_issues(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .campaign import run_spec
-    from .spec import ExperimentSpec, SpecError
+    from .spec import ExecutorSpec, ExperimentSpec, SpecError
 
     try:
         spec = ExperimentSpec.from_file(args.spec)
-    except (OSError, ValueError) as error:
-        print(f"cannot load spec {args.spec}: {error}", file=sys.stderr)
-        return 2
-    if args.executor is not None:  # the CLI flag overrides the file
-        spec.executor = _executor_spec(args.executor)
-    try:
+        if args.executor is not None:  # the CLI flag overrides the file
+            spec.executor = ExecutorSpec.from_dict(args.executor)
         spec.validate()
     except (SpecError, KeyError) as error:
         print(f"invalid spec: {error}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as error:
+        print(f"cannot load spec {args.spec}: {error}", file=sys.stderr)
         return 2
     result = run_spec(spec, output_dir=args.out, store=args.store)
     print(result.summary())
@@ -324,7 +316,7 @@ def _cmd_passive(args: argparse.Namespace) -> int:
         middleware=["cache"],
         corpus=args.corpus,
         store=args.store,
-        executor=_executor_spec(args.executor),
+        executor=args.executor,
     )
     try:
         spec.validate()
@@ -382,7 +374,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = ExperimentSpec(
             target="toy",
             workers=args.sul_workers,
-            executor=_executor_spec(args.executor),
+            executor=args.executor,
         )
     campaign = Campaign.grid(
         targets=args.target,

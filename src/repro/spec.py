@@ -17,9 +17,12 @@ stored next to its artifacts, diffed, and replayed byte-identically::
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from types import UnionType
+from typing import ClassVar, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .adapter.executor import EXECUTOR_KINDS
 from .adapter.pool import SULPool
@@ -41,8 +44,97 @@ class SpecError(ValueError):
     """A malformed or unsatisfiable experiment specification."""
 
 
+class _Section:
+    """The dict/JSON codec every spec class shares.
+
+    Subclasses are dataclasses that declare their fields, a ``_label``
+    naming the section in error messages, optionally a ``_shorthand``
+    field a bare string stands for (``"process"`` == ``{"kind":
+    "process"}``), and a :meth:`validate` for range and registry checks.
+    Serialization (in declaration order), parsing, cloning and the type
+    check every construction runs all derive from the declared fields.
+    """
+
+    _label: ClassVar[str]
+    _shorthand: ClassVar[str | None] = None
+
+    def __post_init__(self) -> None:
+        hints = _field_hints(type(self))
+        for spec_field in fields(self):
+            name = spec_field.name
+            where = f"{self._label} spec {name!r}"
+            setattr(self, name, _coerce(hints[name], getattr(self, name), where))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data):
+        """Parse an instance, ``None``, a mapping or a shorthand string."""
+        if data is None or isinstance(data, cls):
+            return data
+        if isinstance(data, str) and cls._shorthand is not None:
+            return cls(**{cls._shorthand: data})
+        if not isinstance(data, Mapping):
+            raise SpecError(f"{cls._label} spec must be a mapping, got {data!r}")
+        cls._check_keys(data)
+        for spec_field in fields(cls):
+            required = spec_field.default is spec_field.default_factory is MISSING
+            if required and spec_field.name not in data:
+                raise SpecError(f"{cls._label} spec needs a {spec_field.name!r}")
+        return cls(**data)
+
+    @classmethod
+    def _check_keys(cls, keys) -> None:
+        unknown = set(keys) - {spec_field.name for spec_field in fields(cls)}
+        if unknown:
+            raise SpecError(f"unknown {cls._label} spec keys: {sorted(unknown)}")
+
+    def clone(self):
+        return copy.deepcopy(self)
+
+    def validate(self):
+        return self
+
+
+_field_hints = functools.cache(get_type_hints)
+
+
+def _coerce(hint, value, where: str):
+    """``value`` checked against the resolved annotation ``hint``.
+
+    Section-typed values are parsed by that section's ``from_dict`` (so
+    shorthands and nested mappings work), list items are checked one by
+    one, an ``int`` is accepted where a ``float`` is declared, and a
+    ``bool`` never passes for a number.
+    """
+    if get_origin(hint) in (Union, UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    kind = get_origin(hint) or hint
+    if value is not None and issubclass(kind, _Section):
+        return kind.from_dict(value)
+    if kind is list and isinstance(value, (list, tuple)):
+        (item,) = get_args(hint)
+        return [_coerce(item, each, f"{where}[{i}]") for i, each in enumerate(value)]
+    expected = (int, float) if kind is float else kind
+    if isinstance(value, expected) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise SpecError(f"{where} must be {kind.__name__}, got {value!r}")
+
+
+def _check_formula(text: str, what: str) -> None:
+    from .analysis.ltl import LTLError, parse_ltl
+
+    try:
+        parse_ltl(text)
+    except LTLError as error:
+        raise SpecError(f"bad {what} {text!r}: {error}") from error
+
+
 @dataclass
-class ComponentSpec:
+class ComponentSpec(_Section):
     """One registry-keyed component plus its constructor params.
 
     Used for equivalence-oracle chain entries and middleware layers.  In
@@ -50,34 +142,15 @@ class ComponentSpec:
     with default params (``"cache"`` == ``{"kind": "cache", "params": {}}``).
     """
 
+    _label = "component"
+    _shorthand = "kind"
+
     kind: str
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: str | Mapping) -> "ComponentSpec":
-        if isinstance(data, str):
-            return cls(kind=data)
-        if isinstance(data, ComponentSpec):
-            return cls(kind=data.kind, params=dict(data.params))
-        if not isinstance(data, Mapping) or "kind" not in data:
-            raise SpecError(f"malformed component spec: {data!r}")
-        unknown = set(data) - {"kind", "params"}
-        if unknown:
-            raise SpecError(f"unknown component spec keys: {sorted(unknown)}")
-        return cls(kind=data["kind"], params=dict(data.get("params") or {}))
-
-    def clone(self) -> "ComponentSpec":
-        return ComponentSpec(kind=self.kind, params=dict(self.params))
-
-
-_PROPERTIES_FIELDS = {"suite", "depth", "formulas", "include_probes", "minimize"}
-
 
 @dataclass
-class PropertiesSpec:
+class PropertiesSpec(_Section):
     """The declarative ``properties`` section of an experiment spec.
 
     Describes which property checks run against the learned model:
@@ -90,42 +163,13 @@ class PropertiesSpec:
     layer it is JSON-round-trippable and contains no code.
     """
 
+    _label = "properties"
+
     suite: str | None = None
     depth: int = 5
     formulas: list[str] = field(default_factory=list)
     include_probes: bool = False
     minimize: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "depth": self.depth,
-            "formulas": list(self.formulas),
-            "include_probes": self.include_probes,
-            "minimize": self.minimize,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "PropertiesSpec | Mapping | None") -> "PropertiesSpec | None":
-        if data is None or isinstance(data, PropertiesSpec):
-            return data
-        if not isinstance(data, Mapping):
-            raise SpecError(f"properties spec must be a mapping, got {data!r}")
-        unknown = set(data) - _PROPERTIES_FIELDS
-        if unknown:
-            raise SpecError(f"unknown properties spec keys: {sorted(unknown)}")
-        fields = dict(data)
-        fields["formulas"] = list(fields.get("formulas") or [])
-        return cls(**fields)
-
-    def clone(self) -> "PropertiesSpec":
-        return PropertiesSpec(
-            suite=self.suite,
-            depth=self.depth,
-            formulas=list(self.formulas),
-            include_probes=self.include_probes,
-            minimize=self.minimize,
-        )
 
     def validate(self) -> "PropertiesSpec":
         from .registry import PROPERTY_REGISTRY
@@ -134,14 +178,13 @@ class PropertiesSpec:
             raise SpecError(f"need a positive property depth, got {self.depth}")
         if self.suite is not None:
             PROPERTY_REGISTRY.get(self.suite)  # raises RegistryError
+        for formula in self.formulas:
+            _check_formula(formula, "property formula")
         return self
 
 
-_EXECUTOR_FIELDS = {"kind", "workers", "timeout_s"}
-
-
 @dataclass
-class ExecutorSpec:
+class ExecutorSpec(_Section):
     """The declarative ``executor`` section of an experiment spec.
 
     ``kind`` picks the :mod:`repro.adapter.executor` backend (``serial``,
@@ -157,41 +200,16 @@ class ExecutorSpec:
     arrive, never what they are.
     """
 
+    _label = "executor"
+    _shorthand = "kind"
+
     kind: str = "thread"
     workers: int | None = None
     timeout_s: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "workers": self.workers,
-            "timeout_s": self.timeout_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "ExecutorSpec | str | Mapping | None") -> "ExecutorSpec | None":
-        if data is None or isinstance(data, ExecutorSpec):
-            return data
-        if isinstance(data, str):
-            return cls(kind=data)
-        if not isinstance(data, Mapping):
-            raise SpecError(f"executor spec must be a mapping, got {data!r}")
-        unknown = set(data) - _EXECUTOR_FIELDS
-        if unknown:
-            raise SpecError(f"unknown executor spec keys: {sorted(unknown)}")
-        return cls(**dict(data))
-
-    def clone(self) -> "ExecutorSpec":
-        return ExecutorSpec(
-            kind=self.kind, workers=self.workers, timeout_s=self.timeout_s
-        )
-
-
-_STORE_FIELDS = {"path", "flush_every"}
-
 
 @dataclass
-class StoreSpec:
+class StoreSpec(_Section):
     """The declarative ``store`` section of an experiment spec.
 
     ``path`` locates the sqlite :class:`~repro.store.query_store
@@ -208,27 +226,11 @@ class StoreSpec:
     what they are.
     """
 
+    _label = "store"
+    _shorthand = "path"
+
     path: str
     flush_every: int = 256
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "flush_every": self.flush_every}
-
-    @classmethod
-    def from_dict(cls, data: "StoreSpec | str | Mapping | None") -> "StoreSpec | None":
-        if data is None or isinstance(data, StoreSpec):
-            return data
-        if isinstance(data, str):
-            return cls(path=data)
-        if not isinstance(data, Mapping) or "path" not in data:
-            raise SpecError(f"store spec needs a 'path', got {data!r}")
-        unknown = set(data) - _STORE_FIELDS
-        if unknown:
-            raise SpecError(f"unknown store spec keys: {sorted(unknown)}")
-        return cls(**{key: data[key] for key in data})
-
-    def clone(self) -> "StoreSpec":
-        return StoreSpec(path=self.path, flush_every=self.flush_every)
 
     def validate(self) -> "StoreSpec":
         if not self.path:
@@ -240,11 +242,8 @@ class StoreSpec:
         return self
 
 
-_CORPUS_FIELDS = {"path", "skip_conflicts", "max_traces"}
-
-
 @dataclass
-class CorpusSpec:
+class CorpusSpec(_Section):
     """The declarative ``corpus`` section of an experiment spec.
 
     ``path`` locates a JSONL trace corpus (see
@@ -263,36 +262,12 @@ class CorpusSpec:
     *from*, never what they are.
     """
 
+    _label = "corpus"
+    _shorthand = "path"
+
     path: str
     skip_conflicts: bool = True
     max_traces: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "skip_conflicts": self.skip_conflicts,
-            "max_traces": self.max_traces,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "CorpusSpec | str | Mapping | None") -> "CorpusSpec | None":
-        if data is None or isinstance(data, CorpusSpec):
-            return data
-        if isinstance(data, str):
-            return cls(path=data)
-        if not isinstance(data, Mapping) or "path" not in data:
-            raise SpecError(f"corpus spec needs a 'path', got {data!r}")
-        unknown = set(data) - _CORPUS_FIELDS
-        if unknown:
-            raise SpecError(f"unknown corpus spec keys: {sorted(unknown)}")
-        return cls(**{key: data[key] for key in data})
-
-    def clone(self) -> "CorpusSpec":
-        return CorpusSpec(
-            path=self.path,
-            skip_conflicts=self.skip_conflicts,
-            max_traces=self.max_traces,
-        )
 
     def validate(self) -> "CorpusSpec":
         if not self.path:
@@ -304,18 +279,8 @@ class CorpusSpec:
         return self
 
 
-_ATTACK_FIELDS = {
-    "attacker",
-    "objective",
-    "budget",
-    "fuzz",
-    "max_suffix",
-    "corpus_out",
-}
-
-
 @dataclass
-class AttackSpec:
+class AttackSpec(_Section):
     """The declarative ``attack`` section of an experiment spec.
 
     Opting in makes a campaign run :func:`repro.attack.replay.run_attacks`
@@ -334,45 +299,15 @@ class AttackSpec:
     the system answers.
     """
 
+    _label = "attack"
+    _shorthand = "attacker"
+
     attacker: str | None = None
     objective: str | None = None
     budget: int = 200
     fuzz: bool = False
     max_suffix: int = 4
     corpus_out: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "attacker": self.attacker,
-            "objective": self.objective,
-            "budget": self.budget,
-            "fuzz": self.fuzz,
-            "max_suffix": self.max_suffix,
-            "corpus_out": self.corpus_out,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "AttackSpec | str | Mapping | None") -> "AttackSpec | None":
-        if data is None or isinstance(data, AttackSpec):
-            return data
-        if isinstance(data, str):
-            return cls(attacker=data)
-        if not isinstance(data, Mapping):
-            raise SpecError(f"attack spec must be a mapping, got {data!r}")
-        unknown = set(data) - _ATTACK_FIELDS
-        if unknown:
-            raise SpecError(f"unknown attack spec keys: {sorted(unknown)}")
-        return cls(**{key: data[key] for key in data})
-
-    def clone(self) -> "AttackSpec":
-        return AttackSpec(
-            attacker=self.attacker,
-            objective=self.objective,
-            budget=self.budget,
-            fuzz=self.fuzz,
-            max_suffix=self.max_suffix,
-            corpus_out=self.corpus_out,
-        )
 
     def validate(self) -> "AttackSpec":
         if self.budget < 1:
@@ -386,14 +321,7 @@ class AttackSpec:
 
             ATTACK_REGISTRY.get(self.attacker)  # raises RegistryError
         if self.objective is not None:
-            from .analysis.ltl import LTLError, parse_ltl
-
-            try:
-                parse_ltl(self.objective)
-            except LTLError as error:
-                raise SpecError(
-                    f"bad attack objective {self.objective!r}: {error}"
-                ) from error
+            _check_formula(self.objective, "attack objective")
         return self
 
 
@@ -407,27 +335,8 @@ def default_middleware() -> list[ComponentSpec]:
     return [ComponentSpec("cache")]
 
 
-_SPEC_FIELDS = {
-    "target",
-    "target_params",
-    "learner",
-    "learner_params",
-    "equivalence",
-    "middleware",
-    "workers",
-    "seed",
-    "batch_size",
-    "name",
-    "properties",
-    "executor",
-    "store",
-    "corpus",
-    "attack",
-}
-
-
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(_Section):
     """A complete, serializable description of one learning experiment.
 
     ``target`` / ``learner`` name :data:`repro.registry.SUL_REGISTRY` /
@@ -439,6 +348,8 @@ class ExperimentSpec:
     and ``workers > 1`` fans batches over a pool of identically-built SUL
     instances.
     """
+
+    _label = "experiment"
 
     target: str
     target_params: dict = field(default_factory=dict)
@@ -455,15 +366,6 @@ class ExperimentSpec:
     store: StoreSpec | None = None
     corpus: CorpusSpec | None = None
     attack: AttackSpec | None = None
-
-    def __post_init__(self) -> None:
-        self.equivalence = [ComponentSpec.from_dict(e) for e in self.equivalence]
-        self.middleware = [ComponentSpec.from_dict(m) for m in self.middleware]
-        self.properties = PropertiesSpec.from_dict(self.properties)
-        self.executor = ExecutorSpec.from_dict(self.executor)
-        self.store = StoreSpec.from_dict(self.store)
-        self.corpus = CorpusSpec.from_dict(self.corpus)
-        self.attack = AttackSpec.from_dict(self.attack)
 
     # -- identity ----------------------------------------------------------
     def display_name(self) -> str:
@@ -497,65 +399,17 @@ class ExperimentSpec:
         if self.executor is None:
             kind = "thread" if self.workers > 1 else "serial"
             return ExecutorSpec(kind=kind, workers=self.workers)
-        workers = (
-            self.workers if self.executor.workers is None else self.executor.workers
-        )
-        return ExecutorSpec(
-            kind=self.executor.kind,
-            workers=workers,
-            timeout_s=self.executor.timeout_s,
-        )
+        if self.executor.workers is None:
+            return replace(self.executor, workers=self.workers)
+        return self.executor.clone()
 
     # -- serialization -----------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "target_params": dict(self.target_params),
-            "learner": self.learner,
-            "learner_params": dict(self.learner_params),
-            "equivalence": [e.to_dict() for e in self.equivalence],
-            "middleware": [m.to_dict() for m in self.middleware],
-            "workers": self.workers,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "name": self.name,
-            "properties": (
-                None if self.properties is None else self.properties.to_dict()
-            ),
-            "executor": (
-                None if self.executor is None else self.executor.to_dict()
-            ),
-            "store": (
-                None if self.store is None else self.store.to_dict()
-            ),
-            "corpus": (
-                None if self.corpus is None else self.corpus.to_dict()
-            ),
-            "attack": (
-                None if self.attack is None else self.attack.to_dict()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ExperimentSpec":
-        if not isinstance(data, Mapping):
-            raise SpecError(f"experiment spec must be a mapping, got {data!r}")
-        if "target" not in data:
-            raise SpecError("experiment spec needs a 'target'")
-        unknown = set(data) - _SPEC_FIELDS
-        if unknown:
-            raise SpecError(f"unknown experiment spec keys: {sorted(unknown)}")
-        fields = dict(data)
-        fields.setdefault("target_params", {})
-        fields.setdefault("learner_params", {})
-        return cls(**fields)
-
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
+        return _coerce(cls, json.loads(text), "experiment spec")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
@@ -565,38 +419,8 @@ class ExperimentSpec:
 
     def clone(self, **overrides) -> "ExperimentSpec":
         """An independent copy with ``overrides`` applied (grid expansion)."""
-        data = {
-            "target": self.target,
-            "target_params": dict(self.target_params),
-            "learner": self.learner,
-            "learner_params": dict(self.learner_params),
-            "equivalence": [e.clone() for e in self.equivalence],
-            "middleware": [m.clone() for m in self.middleware],
-            "workers": self.workers,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "name": self.name,
-            "properties": (
-                None if self.properties is None else self.properties.clone()
-            ),
-            "executor": (
-                None if self.executor is None else self.executor.clone()
-            ),
-            "store": (
-                None if self.store is None else self.store.clone()
-            ),
-            "corpus": (
-                None if self.corpus is None else self.corpus.clone()
-            ),
-            "attack": (
-                None if self.attack is None else self.attack.clone()
-            ),
-        }
-        unknown = set(overrides) - _SPEC_FIELDS
-        if unknown:
-            raise SpecError(f"unknown experiment spec keys: {sorted(unknown)}")
-        data.update(overrides)
-        return ExperimentSpec(**data)
+        self._check_keys(overrides)
+        return replace(copy.deepcopy(self), **overrides)
 
     # -- validation --------------------------------------------------------
     def validate(self) -> "ExperimentSpec":
@@ -627,28 +451,24 @@ class ExperimentSpec:
             raise SpecError(
                 f"need a positive executor timeout_s, got {executor.timeout_s}"
             )
-        if self.properties is not None:
-            self.properties.validate()
-        if self.store is not None:
-            self.store.validate()
-            if not any(
-                m.kind in ("cache", "store") for m in self.middleware
-            ):
-                raise SpecError(
-                    "a store section needs a 'cache' (or 'store') "
-                    "middleware layer to back"
-                )
-        if self.corpus is not None:
-            self.corpus.validate()
-            if not any(
-                m.kind in ("cache", "store", "passive") for m in self.middleware
-            ):
-                raise SpecError(
-                    "a corpus section needs a 'cache' (or 'store'/'passive') "
-                    "middleware layer to seed"
-                )
-        if self.attack is not None:
-            self.attack.validate()
+        for spec_field in fields(self):
+            section = getattr(self, spec_field.name)
+            if isinstance(section, _Section):
+                section.validate()
+        if self.store is not None and not any(
+            m.kind in ("cache", "store") for m in self.middleware
+        ):
+            raise SpecError(
+                "a store section needs a 'cache' (or 'store') "
+                "middleware layer to back"
+            )
+        if self.corpus is not None and not any(
+            m.kind in ("cache", "store", "passive") for m in self.middleware
+        ):
+            raise SpecError(
+                "a corpus section needs a 'cache' (or 'store'/'passive') "
+                "middleware layer to seed"
+            )
         for registry, keys in (
             (SUL_REGISTRY, [self.target]),
             (LEARNER_REGISTRY, [self.learner]),

@@ -204,6 +204,37 @@ class TestPropertyVerdicts:
         assert verdict.holds  # ran (not skipped): the table was available
 
     def test_property_failure_becomes_error_verdict_not_crash(self):
+        from repro.analysis.property_api import Property
+        from repro.campaign import Campaign
+        from repro.registry import PROPERTY_REGISTRY
+        from repro.spec import PropertiesSpec
+
+        # Malformed formulas are rejected by spec validation (see the next
+        # test), so a check that breaks while it runs stands in for them.
+        def broken(trace):
+            raise RuntimeError("check blew up")
+
+        PROPERTY_REGISTRY.register(
+            "broken-suite", lambda: (Property.trace("broken", broken),)
+        )
+        try:
+            results = Campaign(
+                [
+                    ExperimentSpec(
+                        target="toy",
+                        properties=PropertiesSpec(suite="broken-suite"),
+                    )
+                ]
+            ).run()
+        finally:
+            PROPERTY_REGISTRY.unregister("broken-suite")
+        result = results[0]
+        assert result.ok  # the learning run itself succeeded
+        broken_verdict = result.properties.verdicts[-1]
+        assert broken_verdict.verdict == "error"
+        assert "check blew up" in broken_verdict.detail
+
+    def test_malformed_formula_fails_the_run_before_learning(self):
         from repro.campaign import Campaign
         from repro.spec import PropertiesSpec
 
@@ -216,10 +247,9 @@ class TestPropertyVerdicts:
             ]
         ).run()
         result = results[0]
-        assert result.ok  # the learning run itself succeeded
-        formula_verdict = result.properties.verdicts[-1]
-        assert formula_verdict.verdict == "error"
-        assert "parse error" in formula_verdict.detail
+        assert not result.ok
+        assert result.report is None  # nothing was learned
+        assert "bad property formula" in result.error
 
 
 class TestGridMatchesDirectCalls:

@@ -152,6 +152,30 @@ class TestRunCommand:
         assert main(["run", str(spec_path)]) == 2
         assert "invalid spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"target": "tcp", "executor": {"kind": "process", "timeout_s": "5"}},
+            {"target": "tcp", "workers": "2"},
+            {"target": "tcp", "middleware": None},
+            {"target": "tcp", "equivalence": "wmethod"},
+            {"target": "tcp", "properties": {"formulas": "G !x"}},
+            {"target": "tcp", "properties": {"formulas": ["G ((("]}},
+        ],
+        ids=["timeout-str", "workers-str", "middleware-null", "eq-str",
+             "formulas-str", "bad-formula"],
+    )
+    def test_run_rejects_bad_spec_before_learning(self, capsys, tmp_path, spec):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "artifacts"
+        assert main(["run", str(spec_path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid spec" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # nothing learned
+        assert not out_dir.exists()
+
 
 class TestPassiveCommand:
     def test_generate_then_learn_with_artifacts(self, capsys, tmp_path):
@@ -496,6 +520,12 @@ class TestPropertiesCommand:
         )
         assert main(["properties", str(spec_path)]) == 2
         assert "invalid property campaign" in capsys.readouterr().err
+
+    def test_properties_malformed_formula_exits_before_learning(self, capsys):
+        assert main(["properties", "toy", "--formula", "G ((("]) == 2
+        captured = capsys.readouterr()
+        assert "invalid property campaign: bad property formula" in captured.err
+        assert captured.out == ""
 
     def test_properties_list_honours_spec_section(self, capsys, tmp_path):
         """--list must show what a run would actually check: the spec's

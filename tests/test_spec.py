@@ -1,5 +1,6 @@
 """Tests for the declarative spec API: registries, specs, assembly."""
 
+import dataclasses
 import json
 
 import pytest
@@ -24,9 +25,14 @@ from repro.registry import (
     supported_kwargs,
 )
 from repro.spec import (
+    AttackSpec,
     ComponentSpec,
+    CorpusSpec,
+    ExecutorSpec,
     ExperimentSpec,
+    PropertiesSpec,
     SpecError,
+    StoreSpec,
     assemble,
     build_sul,
 )
@@ -451,3 +457,178 @@ class TestAttackSpec:
         clone = spec.clone(seed=3)
         assert clone.attack == spec.attack
         assert clone.attack is not spec.attack  # independent copy
+
+
+def full_spec() -> ExperimentSpec:
+    """A spec with every field and every section set (the golden spec)."""
+    return ExperimentSpec(
+        target="tcp",
+        target_params={"seed": 3},
+        learner="lstar",
+        learner_params={"max_rounds": 40},
+        equivalence=["random", {"kind": "wmethod", "params": {"extra_states": 2}}],
+        middleware=[ComponentSpec("majority-vote", {"min_repeats": 2}), "cache"],
+        workers=2,
+        seed=5,
+        batch_size=16,
+        name="golden",
+        properties={"suite": "tcp", "depth": 4, "formulas": ["G (out != NIL)"]},
+        executor={"kind": "process", "timeout_s": 30},
+        store="store.sqlite",
+        corpus={"path": "corpus.jsonl", "max_traces": 100},
+        attack={"attacker": "off-path-rst", "objective": "G (out != NIL)", "fuzz": True},
+    )
+
+
+# The artifact layout of ``spec.json`` (and of the spec stored with model
+# lineage): field order, nesting and value encoding are all pinned here.
+GOLDEN_SPEC_JSON = (
+    '{"target": "tcp", "target_params": {"seed": 3}, "learner": "lstar", '
+    '"learner_params": {"max_rounds": 40}, '
+    '"equivalence": [{"kind": "random", "params": {}}, '
+    '{"kind": "wmethod", "params": {"extra_states": 2}}], '
+    '"middleware": [{"kind": "majority-vote", "params": {"min_repeats": 2}}, '
+    '{"kind": "cache", "params": {}}], '
+    '"workers": 2, "seed": 5, "batch_size": 16, "name": "golden", '
+    '"properties": {"suite": "tcp", "depth": 4, "formulas": ["G (out != NIL)"], '
+    '"include_probes": false, "minimize": true}, '
+    '"executor": {"kind": "process", "workers": null, "timeout_s": 30}, '
+    '"store": {"path": "store.sqlite", "flush_every": 256}, '
+    '"corpus": {"path": "corpus.jsonl", "skip_conflicts": true, "max_traces": 100}, '
+    '"attack": {"attacker": "off-path-rst", "objective": "G (out != NIL)", '
+    '"budget": 200, "fuzz": true, "max_suffix": 4, "corpus_out": null}}'
+)
+
+
+def test_to_json_golden_bytes():
+    spec = full_spec()
+    assert spec.to_json(indent=None) == GOLDEN_SPEC_JSON
+    assert spec.to_json() == json.dumps(json.loads(GOLDEN_SPEC_JSON), indent=2)
+    assert spec.clone(seed=9).to_json(indent=None) == GOLDEN_SPEC_JSON.replace(
+        '"seed": 5', '"seed": 9'
+    )
+    assert ExperimentSpec.from_json(spec.to_json()).to_json() == spec.to_json()
+
+
+# (class, label, a fully-populated instance, shorthand field, required field)
+CODEC_CASES = [
+    (ComponentSpec, "component", ComponentSpec("random", {"num_words": 9}), "kind", "kind"),
+    (
+        PropertiesSpec,
+        "properties",
+        PropertiesSpec("toy", 3, ["G (out != NIL)"], include_probes=True, minimize=False),
+        None,
+        None,
+    ),
+    (ExecutorSpec, "executor", ExecutorSpec("process", 2, 1.5), "kind", None),
+    (StoreSpec, "store", StoreSpec("s.sqlite", flush_every=8), "path", "path"),
+    (CorpusSpec, "corpus", CorpusSpec("c.jsonl", False, 5), "path", "path"),
+    (
+        AttackSpec,
+        "attack",
+        AttackSpec("rapid-reset", "G (out != NIL)", 9, True, 2, "attacks.jsonl"),
+        "attacker",
+        None,
+    ),
+    (ExperimentSpec, "experiment", full_spec(), None, "target"),
+]
+CODEC_IDS = [case[1] for case in CODEC_CASES]
+
+
+@pytest.mark.parametrize("cls, label, instance, shorthand, required", CODEC_CASES, ids=CODEC_IDS)
+class TestSectionCodec:
+    def test_json_round_trip(self, cls, label, instance, shorthand, required):
+        data = json.loads(json.dumps(instance.to_dict()))
+        assert cls.from_dict(data) == instance
+        assert list(data) == [spec_field.name for spec_field in dataclasses.fields(cls)]
+
+    def test_string_shorthand(self, cls, label, instance, shorthand, required):
+        if shorthand is None:
+            with pytest.raises(SpecError, match=f"{label} spec must be a mapping"):
+                cls.from_dict("bare")
+        else:
+            assert cls.from_dict("bare") == cls(**{shorthand: "bare"})
+
+    def test_unknown_key_rejected(self, cls, label, instance, shorthand, required):
+        data = dict(instance.to_dict(), bogus=1)
+        with pytest.raises(SpecError, match=rf"unknown {label} spec keys: \['bogus'\]"):
+            cls.from_dict(data)
+
+    def test_missing_required_field(self, cls, label, instance, shorthand, required):
+        if required is None:
+            assert cls.from_dict({}) == cls()
+            return
+        data = instance.to_dict()
+        del data[required]
+        with pytest.raises(SpecError, match=f"{label} spec needs a '{required}'"):
+            cls.from_dict(data)
+
+    def test_clone_is_independent(self, cls, label, instance, shorthand, required):
+        clone = instance.clone()
+        assert clone == instance
+        for spec_field in dataclasses.fields(cls):
+            value = getattr(clone, spec_field.name)
+            if isinstance(value, (list, dict)) or dataclasses.is_dataclass(value):
+                assert value is not getattr(instance, spec_field.name), spec_field.name
+
+    def test_instance_and_none_pass_through(self, cls, label, instance, shorthand, required):
+        assert cls.from_dict(instance) is instance
+        assert cls.from_dict(None) is None
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"executor": {"kind": "process", "timeout_s": "5"}}, "'timeout_s' must be float"),
+        ({"executor": {"kind": "process", "workers": "2"}}, "'workers' must be int"),
+        ({"workers": "2"}, "'workers' must be int"),
+        ({"workers": True}, "'workers' must be int"),
+        ({"seed": 1.5}, "'seed' must be int"),
+        ({"properties": {"depth": "5"}}, "'depth' must be int"),
+        ({"properties": {"formulas": "G !x"}}, "'formulas' must be list"),
+        ({"properties": {"formulas": [3]}}, r"'formulas'\[0\] must be str"),
+        ({"store": {"path": "s", "flush_every": "9"}}, "'flush_every' must be int"),
+        ({"corpus": {"path": "c", "skip_conflicts": "no"}}, "'skip_conflicts' must be bool"),
+        ({"attack": {"budget": 2.5}}, "'budget' must be int"),
+        ({"middleware": None}, "'middleware' must be list"),
+        ({"middleware": [None]}, r"'middleware'\[0\] must be ComponentSpec"),
+        ({"equivalence": "wmethod"}, "'equivalence' must be list"),
+        ({"equivalence": [{"kind": "random", "params": None}]}, "'params' must be dict"),
+        ({"target_params": []}, "'target_params' must be dict"),
+        ({"name": 7}, "'name' must be str"),
+        ({"executor": 3}, "executor spec must be a mapping"),
+    ],
+)
+def test_mistyped_values_raise_spec_error(data, match):
+    with pytest.raises(SpecError, match=match):
+        ExperimentSpec.from_dict({"target": "tcp", **data})
+
+
+def test_int_accepted_where_float_declared():
+    spec = ExperimentSpec.from_dict({"target": "tcp", "executor": {"timeout_s": 5}})
+    assert spec.executor.timeout_s == 5
+    assert spec.to_dict()["executor"]["timeout_s"] == 5  # serialized as given
+
+
+def test_from_json_rejects_non_mappings():
+    for text in ("null", "[]", '"tcp"'):
+        with pytest.raises(SpecError, match="experiment spec must be"):
+            ExperimentSpec.from_json(text)
+
+
+class TestPropertyFormulas:
+    def test_malformed_formula_fails_validation(self):
+        spec = ExperimentSpec(target="toy", properties={"formulas": ["G ((("]})
+        with pytest.raises(SpecError, match="bad property formula 'G \\(\\(\\('"):
+            spec.validate()
+
+    def test_bare_string_formulas_rejected(self):
+        with pytest.raises(SpecError, match="'formulas' must be list"):
+            ExperimentSpec.from_dict({"target": "toy", "properties": {"formulas": "G !x"}})
+        with pytest.raises(SpecError, match="'formulas' must be list"):
+            PropertiesSpec(formulas="G !x")
+
+    def test_wellformed_formulas_validate(self):
+        ExperimentSpec(
+            target="toy", properties={"formulas": ["G (out != NIL)", "F (out == NIL)"]}
+        ).validate()
