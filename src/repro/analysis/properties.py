@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.extended import ConcreteStep, ExtendedMealyMachine
-from ..core.mealy import MealyMachine, State
-from ..core.trace import EMPTY_TRACE, IOTrace
+from ..core.mealy import MealyError, MealyMachine, State
+from ..core.trace import EPSILON, IOTrace, Word
 from .ltl import Formula
 
 
@@ -36,33 +36,17 @@ def check_property(
 ) -> PropertyViolation | None:
     """Exhaustively check all traces of length <= depth; None if they hold.
 
-    The learned model makes this tractable: instead of the |Sigma|^depth
-    blow-up against the live SUL, we explore the (few) machine states --
-    the trace-reduction argument of section 6.2.2.
+    Every input word of length 1..depth is enumerated -- |Sigma|^<=depth
+    traces, in pre-order, alphabet order -- and ``formula.holds`` is called
+    on each trace.  Traces that reach the same state cannot be merged,
+    because the check may be an arbitrary whole-trace predicate (see
+    :func:`check_invariant`) whose verdict depends on the full history,
+    not only on the state reached.  The learned model is what makes this
+    affordable (the trace-reduction argument of section 6.2.2): each step
+    is a transition-table lookup instead of a query against the live SUL.
+    The first violating trace in that order is returned.
     """
-    violation = _explore(machine, formula, machine.initial_state, EMPTY_TRACE, depth)
-    return violation
-
-
-def _explore(
-    machine: MealyMachine,
-    formula: Formula,
-    state: State,
-    trace: IOTrace,
-    remaining: int,
-) -> PropertyViolation | None:
-    if len(trace) > 0 and not formula.holds(trace):
-        return PropertyViolation(trace=trace, description="LTLf violation")
-    if remaining == 0:
-        return None
-    for symbol in machine.input_alphabet:
-        target, output = machine.step(state, symbol)
-        violation = _explore(
-            machine, formula, target, trace.extend(symbol, output), remaining - 1
-        )
-        if violation is not None:
-            return violation
-    return None
+    return _walk(machine, formula.holds, depth)
 
 
 def check_invariant(
@@ -71,15 +55,49 @@ def check_invariant(
     depth: int,
 ) -> PropertyViolation | None:
     """Check an arbitrary trace predicate on all traces up to ``depth``."""
+    return _walk(machine, predicate, depth)
 
-    class _Wrapper(Formula):
-        def holds(self, trace: IOTrace) -> bool:  # type: ignore[override]
-            return predicate(trace)
 
-        def holds_at(self, steps, index):  # pragma: no cover - unused
-            raise NotImplementedError
+def _walk(
+    machine: MealyMachine, holds: Callable[[IOTrace], bool], depth: int
+) -> PropertyViolation | None:
+    # Per state, computed at its first visit: ``(input, target, output)``
+    # in alphabet order up to the first missing transition, and that
+    # transition's error.  The error is raised only after everything
+    # before it has been explored, which is where stepping would raise.
+    rows: dict[State, tuple[list, MealyError | None]] = {}
 
-    return check_property(machine, _Wrapper(), depth)
+    def row(state: State) -> tuple[list, MealyError | None]:
+        entries = []
+        for symbol in machine.input_alphabet:
+            try:
+                target, output = machine.step(state, symbol)
+            except MealyError as error:
+                return entries, error
+            entries.append((symbol, target, output))
+        return entries, None
+
+    def explore(
+        state: State, inputs: Word, outputs: Word, remaining: int
+    ) -> PropertyViolation | None:
+        if state not in rows:
+            rows[state] = row(state)
+        entries, error = rows[state]
+        for symbol, target, output in entries:
+            trace = IOTrace(inputs + (symbol,), outputs + (output,))
+            if not holds(trace):
+                return PropertyViolation(trace=trace, description="LTLf violation")
+            if remaining > 1:
+                violation = explore(target, trace.inputs, trace.outputs, remaining - 1)
+                if violation is not None:
+                    return violation
+        if error is not None:
+            raise error
+        return None
+
+    if depth < 1:
+        return None
+    return explore(machine.initial_state, EPSILON, EPSILON, depth)
 
 
 # ---------------------------------------------------------------------------

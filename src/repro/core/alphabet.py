@@ -14,6 +14,7 @@ observation tables and transition maps.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -33,6 +34,18 @@ class AbstractSymbol:
     """
 
     label: str
+
+    def __hash__(self) -> int:
+        # Equal symbols have equal labels, so this agrees with ``__eq__``,
+        # and it does not recurse into nested packet tuples the way the
+        # generated field hash would.
+        return hash(self.label)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # This runs before ``@dataclass`` decorates the subclass; a
+        # ``__hash__`` already in the class dict stops it generating one.
+        cls.__hash__ = AbstractSymbol.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.label
@@ -555,11 +568,24 @@ def serialize_symbol(symbol: AbstractSymbol) -> dict:
 
 
 def deserialize_symbol(data: Mapping) -> AbstractSymbol:
-    """Inverse of :func:`serialize_symbol`."""
+    """Inverse of :func:`serialize_symbol`.
+
+    Decoded symbols are memoised on ``(kind, text)``: decoding the same
+    text again returns the same (frozen) instance.  Errors are raised on
+    every call, never cached.
+    """
     try:
         kind, text = data["kind"], data["text"]
     except (KeyError, TypeError):
         raise SymbolError(f"malformed serialized symbol: {data!r}") from None
+    if not isinstance(kind, str) or not isinstance(text, str):
+        raise SymbolError(f"malformed serialized symbol: {data!r}")
+    return _decode_symbol(kind, text)
+
+
+# Bounded: a learned model has ~100 distinct symbols, a whole run a few hundred.
+@functools.lru_cache(maxsize=4096)
+def _decode_symbol(kind: str, text: str) -> AbstractSymbol:
     try:
         parser = _SYMBOL_PARSERS[kind]
     except KeyError:

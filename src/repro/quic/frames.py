@@ -410,11 +410,7 @@ def decode_frames(payload: bytes) -> list[Frame]:
 
 def _decode_one(buf: Buffer, frame_type: int) -> Frame:
     if frame_type == FRAME_PADDING:
-        length = 1
-        while not buf.eof and buf.getvalue()[_buf_offset(buf)] == 0:
-            buf.pull_uint8()
-            length += 1
-        return PaddingFrame(length=length)
+        return PaddingFrame(length=1 + buf.pull_zeros())
     if frame_type == FRAME_PING:
         return PingFrame()
     if frame_type in (FRAME_ACK, FRAME_ACK_ECN):
@@ -491,10 +487,6 @@ def _decode_one(buf: Buffer, frame_type: int) -> Frame:
     if frame_type == FRAME_HANDSHAKE_DONE:
         return HandshakeDoneFrame()
     raise FrameError(f"unknown frame type: {frame_type:#04x}")
-
-
-def _buf_offset(buf: Buffer) -> int:
-    return len(buf.getvalue()) - buf.remaining
 
 
 def frame_kinds(frames: Sequence[Frame]) -> tuple[str, ...]:

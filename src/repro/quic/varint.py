@@ -7,10 +7,13 @@ the QUIC wire format uses this encoding.
 
 from __future__ import annotations
 
+import re
+
 VARINT_MAX = (1 << 62) - 1
 
 _PREFIX_FOR_LENGTH = {1: 0x00, 2: 0x40, 4: 0x80, 8: 0xC0}
 _LENGTH_FOR_PREFIX = {0x00: 1, 0x40: 2, 0x80: 4, 0xC0: 8}
+_ZERO_RUN = re.compile(b"\x00*")
 
 
 class VarintError(ValueError):
@@ -37,7 +40,7 @@ def encode_varint(value: int) -> bytes:
     return bytes([encoded[0] | _PREFIX_FOR_LENGTH[length]]) + encoded[1:]
 
 
-def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
+def decode_varint(data: bytes | bytearray, offset: int = 0) -> tuple[int, int]:
     """Decode a varint at ``offset``; returns ``(value, next_offset)``."""
     if offset >= len(data):
         raise VarintError("varint truncated: empty buffer")
@@ -98,8 +101,14 @@ class Buffer:
         return int.from_bytes(self.pull_bytes(size), "big")
 
     def pull_varint(self) -> int:
-        value, self._offset = decode_varint(bytes(self._data), self._offset)
+        value, self._offset = decode_varint(self._data, self._offset)
         return value
+
+    def pull_zeros(self) -> int:
+        """Consume the run of zero bytes at the cursor; returns its length."""
+        end = _ZERO_RUN.match(self._data, self._offset).end()
+        count, self._offset = end - self._offset, end
+        return count
 
     def pull_varint_bytes(self) -> bytes:
         return self.pull_bytes(self.pull_varint())

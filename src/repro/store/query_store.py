@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -111,11 +112,22 @@ def open_connection(path: str | Path, timeout_s: float = 30.0) -> sqlite3.Connec
     run still owns exactly one connection (sqlite connections must
     never cross a *process* boundary -- workers open their own).
     """
+    deadline = time.monotonic() + timeout_s
     try:
         conn = sqlite3.connect(
             str(path), timeout=timeout_s, check_same_thread=False
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                # Processes opening a fresh file at once race to switch it
+                # to WAL; the loser can get "database is locked" without
+                # sqlite's busy handler waiting, so wait here instead.
+                if "locked" not in str(error) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
         conn.execute("PRAGMA synchronous=NORMAL")
     except sqlite3.Error as error:
         raise StoreError(f"cannot open store {path}: {error}") from None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.alphabet import (
+    AbstractSymbol,
     Alphabet,
     QUIC_EMPTY_OUTPUT,
     QUICOutput,
@@ -10,13 +11,19 @@ from repro.core.alphabet import (
     SymbolError,
     TCP_NIL,
     TCPSymbol,
+    deserialize_symbol,
+    h3_alphabet,
+    http2_alphabet,
     parse_quic_output,
     parse_quic_symbol,
     parse_tcp_symbol,
     quic_alphabet,
+    serialize_symbol,
     tcp_alphabet,
     tcp_handshake_alphabet,
 )
+from repro.framework import Prognosis
+from repro.spec import ExperimentSpec
 
 
 class TestTCPSymbol:
@@ -135,3 +142,84 @@ class TestAlphabet:
         assert len(tcp_alphabet()) == 7
         assert len(tcp_handshake_alphabet()) == 2
         assert len(quic_alphabet()) == 7
+
+
+def _symbol_classes(cls=AbstractSymbol):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _symbol_classes(sub)
+
+
+def _with_nested(symbols):
+    """The symbols plus every symbol nested inside an output symbol."""
+    for symbol in symbols:
+        yield symbol
+        for part in getattr(symbol, "packets", ()) + getattr(symbol, "frames", ()):
+            if isinstance(part, AbstractSymbol):
+                yield part
+        for stream in getattr(symbol, "streams", ()):
+            yield from stream
+
+
+@pytest.fixture(scope="module")
+def learned_models():
+    """One learned model per protocol."""
+    models = []
+    for target in ("tcp", "http2", "http3", "quic-quiche"):
+        with Prognosis.from_spec(ExperimentSpec(target=target)) as prognosis:
+            models.append(prognosis.learn().model)
+    return models
+
+
+class TestLabelHash:
+    def test_every_subclass_inherits_the_label_hash(self):
+        classes = list(_symbol_classes())
+        assert len(classes) >= 8
+        for cls in classes:
+            assert cls.__hash__ is AbstractSymbol.__hash__, cls
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        [tcp_alphabet, tcp_handshake_alphabet, http2_alphabet, h3_alphabet, quic_alphabet],
+    )
+    def test_alphabet_symbols_hash_by_label(self, alphabet):
+        for symbol in _with_nested(alphabet()):
+            assert hash(symbol) == hash(symbol.label)
+
+    def test_learned_outputs_hash_by_label(self, learned_models):
+        kinds = set()
+        for model in learned_models:
+            symbols = list(model.input_alphabet) + list(model.output_alphabet())
+            for symbol in _with_nested(symbols):
+                assert hash(symbol) == hash(symbol.label)
+                kinds.add(type(symbol).__name__)
+        assert {"TCPSymbol", "HTTP2Output", "H3Output", "QUICOutput"} <= kinds
+
+    def test_equality_still_compares_type_and_fields(self):
+        raw = AbstractSymbol(label=TCP_NIL.label)
+        assert hash(raw) == hash(TCP_NIL)
+        assert raw != TCP_NIL
+        assert len({raw, TCP_NIL}) == 2
+
+
+class TestDecodeMemo:
+    def test_same_text_decodes_to_the_same_object(self, learned_models):
+        for model in learned_models:
+            for symbol in list(model.input_alphabet) + list(model.output_alphabet()):
+                data = serialize_symbol(symbol)
+                first = deserialize_symbol(data)
+                assert first == symbol
+                assert deserialize_symbol(dict(data)) is first
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "tcp", "text": "SYN("},
+            {"kind": "martian", "text": "X"},
+            {"kind": "quic", "text": "INITIAL(?,?)[BOGUS]"},
+        ],
+    )
+    def test_errors_are_raised_on_every_call(self, data):
+        for _ in range(3):
+            with pytest.raises(SymbolError):
+                deserialize_symbol(data)

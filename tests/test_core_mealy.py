@@ -163,6 +163,21 @@ class TestSerialization:
         with pytest.raises(SymbolError):
             deserialize_symbol({"text": "X"})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "tcp", "text": 5},
+            {"kind": "raw", "text": ["x"]},
+            {"kind": ["tcp"], "text": "SYN(?,?,0)"},
+            {"kind": None, "text": "X"},
+        ],
+    )
+    def test_non_string_kind_or_text_rejected(self, data):
+        from repro.core.alphabet import SymbolError, deserialize_symbol
+
+        with pytest.raises(SymbolError, match="malformed serialized symbol"):
+            deserialize_symbol(data)
+
 
 class TestFingerprint:
     def test_fingerprint_equal_for_equivalent(self, redundant_machine, toy_machine):

@@ -64,6 +64,17 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="line 2"):
             list(read_jsonl_corpus(path))
 
+    @pytest.mark.parametrize(
+        "symbol", [{"kind": "tcp", "text": 5}, {"kind": "raw", "text": ["x"]}]
+    )
+    def test_non_string_symbol_text_names_its_line(self, tmp_path, symbol):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl_corpus(path, session_traces()[:1])
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"inputs": [symbol], "outputs": [symbol]}) + "\n")
+        with pytest.raises(CorpusFormatError, match="line 2"):
+            list(read_jsonl_corpus(path))
+
     def test_non_json_line_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("definitely not json\n")

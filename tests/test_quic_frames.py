@@ -105,6 +105,19 @@ class TestAck:
             AckRange(5, 3)
 
 
+class TestPadding:
+    def test_long_padding_run_in_a_full_datagram(self):
+        crypto = CryptoFrame(offset=0, data=b"hello")
+        padding = PaddingFrame(length=1200 - len(encode_frames([crypto])))
+        wire = encode_frames([crypto, padding])
+        assert len(wire) == 1200
+        assert decode_frames(wire) == [crypto, padding]
+
+    def test_padding_run_stops_at_next_frame(self):
+        frames = [PaddingFrame(length=700), PingFrame(), PaddingFrame(length=2)]
+        assert decode_frames(encode_frames(frames)) == frames
+
+
 class TestValidation:
     def test_unknown_frame_type(self):
         with pytest.raises(FrameError):

@@ -77,3 +77,25 @@ class TestBuffer:
         reader = Buffer(b"abcd")
         reader.pull_bytes(1)
         assert reader.remaining == 3
+
+    def test_varint_at_end_of_full_datagram(self):
+        # A 1,200-byte buffer (minimum QUIC Initial size) ending in a varint.
+        tail = encode_varint(494_878_333)
+        reader = Buffer(b"\x00" * (1200 - len(tail)) + tail)
+        reader.pull_bytes(1200 - len(tail))
+        assert reader.pull_varint() == 494_878_333
+        assert reader.eof
+        truncated = Buffer(b"\x00" * 1198 + tail[:2])
+        truncated.pull_bytes(1198)
+        with pytest.raises(VarintError):
+            truncated.pull_varint()
+
+    def test_pull_zeros_consumes_only_the_zero_run(self):
+        reader = Buffer(b"\x07" + b"\x00" * 1000 + b"\x01\x00")
+        assert reader.pull_zeros() == 0
+        reader.pull_uint8()
+        assert reader.pull_zeros() == 1000
+        assert reader.pull_uint8() == 1
+        assert reader.pull_zeros() == 1
+        assert reader.eof
+        assert reader.pull_zeros() == 0

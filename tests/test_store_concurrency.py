@@ -13,7 +13,7 @@ import pytest
 
 from repro.campaign import run_spec
 from repro.spec import ExecutorSpec, ExperimentSpec
-from repro.store import QueryStore
+from repro.store import QueryStore, StoreError
 
 
 def _learn_into_store(args):
@@ -28,6 +28,16 @@ def _learn_into_store(args):
     if not result.ok:
         return result.error
     return json.dumps(result.model.to_dict(), sort_keys=True)
+
+
+def _open_when_released(path, release, results):
+    """Worker-process entry point: open a store once ``release`` is set."""
+    release.wait(timeout=30)
+    try:
+        QueryStore(path).close()
+        results.put(None)
+    except StoreError as error:
+        results.put(str(error))
 
 
 @pytest.fixture
@@ -61,6 +71,31 @@ class TestConcurrentWriters:
         assert json.dumps(warm.model.to_dict(), sort_keys=True) == expected
         assert warm.report.sul_resets == 0
         assert warm.report.store_hit_rate >= 0.9
+
+    def test_simultaneous_opens_of_a_fresh_store_all_succeed(
+        self, tmp_path, mp_context
+    ):
+        # Both processes race to switch the new file to WAL, and sqlite's
+        # busy handler does not wait for the loser; the race is rare, so
+        # it takes many rounds to show.
+        errors = []
+        for round_ in range(300):
+            path = str(tmp_path / f"store-{round_}.sqlite")
+            release, results = mp_context.Event(), mp_context.Queue()
+            workers = [
+                mp_context.Process(
+                    target=_open_when_released, args=(path, release, results)
+                )
+                for _ in range(2)
+            ]
+            for worker in workers:
+                worker.start()
+            release.set()
+            errors += [results.get(timeout=60) for _ in workers]
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        assert [error for error in errors if error] == []
 
     def test_store_composes_with_process_executor(self, tmp_path):
         """The spec's own process-pool workers and the store middleware
