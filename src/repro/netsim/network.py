@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .clock import VirtualClock
@@ -37,13 +37,6 @@ class Datagram:
     source: Address
     destination: Address
     sent_at: float
-
-
-@dataclass(order=True)
-class _ScheduledDelivery:
-    deliver_at: float
-    sequence: int
-    datagram: Datagram = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,9 @@ class SimulatedNetwork:
         self.config = config
         self._rng = random.Random(seed)
         self._endpoints: dict[Address, Endpoint] = {}
-        self._queue: list[_ScheduledDelivery] = []
+        # Heap of (deliver_at, sequence, datagram); the unique sequence
+        # breaks ties first-sent-first, so datagrams are never compared.
+        self._queue: list[tuple[float, int, Datagram]] = []
         self._sequence = 0
         self._next_ephemeral = EPHEMERAL_PORT_START
         self._drop_next = 0
@@ -220,26 +215,25 @@ class SimulatedNetwork:
             )
             self._sequence += 1
             heapq.heappush(
-                self._queue,
-                _ScheduledDelivery(self.clock.now + delay, self._sequence, datagram),
+                self._queue, (self.clock.now + delay, self._sequence, datagram)
             )
 
     def step(self) -> bool:
         """Deliver the next scheduled datagram; False when nothing pending."""
         if not self._queue:
             return False
-        scheduled = heapq.heappop(self._queue)
-        self.clock.advance_to(scheduled.deliver_at)
-        endpoint = self._endpoints.get(scheduled.datagram.destination)
+        deliver_at, _, datagram = heapq.heappop(self._queue)
+        self.clock.advance_to(deliver_at)
+        endpoint = self._endpoints.get(datagram.destination)
         if endpoint is None or endpoint.closed:
             # Destination vanished -- datagram silently dropped, like UDP.
             self.stats["lost"] += 1
             return True
         self.stats["delivered"] += 1
         if endpoint.handler is not None:
-            endpoint.handler(scheduled.datagram)
+            endpoint.handler(datagram)
         else:
-            endpoint.inbox.append(scheduled.datagram)
+            endpoint.inbox.append(datagram)
         return True
 
     def run(self, max_events: int = 100_000) -> int:

@@ -22,6 +22,7 @@ from .behavior import BehaviorCore, BehaviorTable, OutputSpec, input_key, spec
 #: The response flush emitted when the client FINs its request stream.
 spec_final_flush = spec("SHORT", "STREAM")
 from .crypto import CryptoError, KeyPair
+from .flowcontrol import FlowControlError
 from .frames import (
     AckFrame,
     AckRange,
@@ -40,6 +41,7 @@ from .frames import (
     frame_kinds,
 )
 from .packet import (
+    PacketError,
     PacketHeader,
     PacketType,
     decode_packet,
@@ -47,8 +49,8 @@ from .packet import (
     header_bytes_for_aead,
 )
 from .packetspace import PacketNumberSpace, Space
-from .streams import ReceiveStream, SendStream
-from .transport_params import TransportParameters
+from .streams import ReceiveStream, SendStream, StreamError
+from .transport_params import TransportParameterError, TransportParameters
 
 CID_LENGTH = 8
 CLIENT_HELLO_MAGIC = b"CH01"
@@ -211,7 +213,7 @@ class QUICServerConnection:
             self.client_params = TransportParameters.decode(
                 data[4 + crypto.RANDOM_LENGTH :]
             )
-        except Exception:
+        except TransportParameterError:
             self.client_params = TransportParameters()
         self.server_random = bytes(
             self.rng.randrange(256) for _ in range(crypto.RANDOM_LENGTH)
@@ -238,7 +240,7 @@ class QUICServerConnection:
         before = self.recv_stream.bytes_received
         try:
             self.recv_stream.on_frame(frame.offset, frame.data, frame.fin)
-        except Exception:
+        except (StreamError, FlowControlError):
             return
         received = self.recv_stream.bytes_received - before
         if received <= 0:
@@ -385,7 +387,7 @@ class QUICServer:
         self.datagrams_received += 1
         try:
             header = decode_packet(datagram.payload, short_cid_length=CID_LENGTH)
-        except Exception:
+        except PacketError:
             return
         responses = self._dispatch(header, datagram.source)
         for response in responses:

@@ -15,6 +15,14 @@ implements a *shape-faithful* substitute built on HMAC-SHA256:
   keystream XOR plus a 16-byte HMAC tag over header and ciphertext.
   Tampering or a wrong key fails authentication, which the servers treat as
   an undecryptable packet (silently dropped), mirroring real QUIC.
+
+Each :class:`DirectionalKey` holds its own HMAC state: the SHA-256 inner
+and outer pad states are hashed once, on the key's first seal or open, and
+cached on the instance.  Every keystream block and tag then costs two
+``hash.copy()`` calls instead of a fresh HMAC object.  Many derived keys
+never protect a packet, so the pads are computed lazily, not when the key
+is built.  Key derivation (:func:`hkdf_expand_label`) uses one-shot
+:func:`hmac.digest`.
 """
 
 from __future__ import annotations
@@ -22,10 +30,15 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 
 INITIAL_SALT = b"prognosis-repro-initial-salt-v1"
 TAG_LENGTH = 16
 RANDOM_LENGTH = 32
+
+_HMAC_BLOCK = 64  # SHA-256 block size
+_INNER_PAD = bytes(b ^ 0x36 for b in range(256))
+_OUTER_PAD = bytes(b ^ 0x5C for b in range(256))
 
 
 class CryptoError(Exception):
@@ -33,7 +46,7 @@ class CryptoError(Exception):
 
 
 def hkdf_extract(salt: bytes, input_key_material: bytes) -> bytes:
-    return hmac.new(salt, input_key_material, hashlib.sha256).digest()
+    return hmac.digest(salt, input_key_material, "sha256")
 
 
 def hkdf_expand_label(secret: bytes, label: bytes, length: int = 32) -> bytes:
@@ -42,32 +55,72 @@ def hkdf_expand_label(secret: bytes, label: bytes, length: int = 32) -> bytes:
     block = b""
     counter = 1
     while len(output) < length:
-        block = hmac.new(
-            secret, block + label + bytes([counter]), hashlib.sha256
-        ).digest()
+        block = hmac.digest(secret, block + label + bytes([counter]), "sha256")
         output += block
         counter += 1
     return output[:length]
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR the first ``len(data)`` bytes of ``stream``."""
+    length = len(data)
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream[:length], "big")
+    ).to_bytes(length, "big")
+
+
 @dataclass(frozen=True)
 class DirectionalKey:
-    """Key material protecting one direction at one encryption level."""
+    """Key material protecting one direction at one encryption level.
+
+    Equality and hashing use ``(key, label)`` only; the cached HMAC pad
+    states are derived from ``key`` and never pickled.
+    """
 
     key: bytes
     label: str
 
+    @cached_property
+    def _pads(self) -> tuple:
+        """SHA-256 states after absorbing the inner and outer HMAC pads."""
+        key = self.key
+        if len(key) > _HMAC_BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_HMAC_BLOCK, b"\x00")
+        return (
+            hashlib.sha256(key.translate(_INNER_PAD)),
+            hashlib.sha256(key.translate(_OUTER_PAD)),
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_pads", None)
+        return state
+
+    def _mac(self, message: bytes) -> bytes:
+        """HMAC-SHA256 of ``message`` under this key."""
+        inner_pad, outer_pad = self._pads
+        inner = inner_pad.copy()
+        inner.update(message)
+        outer = outer_pad.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
     def _keystream(self, nonce: bytes, length: int) -> bytes:
-        return hkdf_expand_label(self.key, b"ks" + nonce, length)
+        # Byte-identical to hkdf_expand_label(self.key, b"ks" + nonce, length).
+        label = b"ks" + nonce
+        blocks = []
+        block = b""
+        for counter in range(1, (length + 31) // 32 + 1):
+            block = self._mac(block + label + bytes([counter]))
+            blocks.append(block)
+        return b"".join(blocks)
 
     def seal(self, packet_number: int, header: bytes, plaintext: bytes) -> bytes:
         """Encrypt and authenticate ``plaintext`` bound to ``header``."""
         nonce = packet_number.to_bytes(8, "big")
-        stream = self._keystream(nonce, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-        tag = hmac.new(
-            self.key, b"tag" + nonce + header + ciphertext, hashlib.sha256
-        ).digest()[:TAG_LENGTH]
+        ciphertext = _xor(plaintext, self._keystream(nonce, len(plaintext)))
+        tag = self._mac(b"tag" + nonce + header + ciphertext)[:TAG_LENGTH]
         return ciphertext + tag
 
     def open(self, packet_number: int, header: bytes, sealed: bytes) -> bytes:
@@ -76,13 +129,10 @@ class DirectionalKey:
             raise CryptoError("sealed payload shorter than tag")
         ciphertext, tag = sealed[:-TAG_LENGTH], sealed[-TAG_LENGTH:]
         nonce = packet_number.to_bytes(8, "big")
-        expected = hmac.new(
-            self.key, b"tag" + nonce + header + ciphertext, hashlib.sha256
-        ).digest()[:TAG_LENGTH]
+        expected = self._mac(b"tag" + nonce + header + ciphertext)[:TAG_LENGTH]
         if not hmac.compare_digest(tag, expected):
             raise CryptoError(f"authentication failed for {self.label}")
-        stream = self._keystream(nonce, len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
+        return _xor(ciphertext, self._keystream(nonce, len(ciphertext)))
 
 
 @dataclass(frozen=True)
@@ -126,18 +176,18 @@ def application_keys(client_random: bytes, server_random: bytes) -> KeyPair:
 
 def retry_integrity_tag(original_dcid: bytes, retry_pseudo_packet: bytes) -> bytes:
     """16-byte integrity tag appended to RETRY packets (RFC 9001 section 5.8)."""
-    return hmac.new(
-        b"retry" + original_dcid, retry_pseudo_packet, hashlib.sha256
-    ).digest()[:TAG_LENGTH]
+    return hmac.digest(
+        b"retry" + original_dcid, retry_pseudo_packet, "sha256"
+    )[:TAG_LENGTH]
 
 
 def stateless_reset_token(connection_id: bytes) -> bytes:
     """The 16-byte stateless reset token for a connection id."""
-    return hmac.new(b"reset-token", connection_id, hashlib.sha256).digest()[:TAG_LENGTH]
+    return hmac.digest(b"reset-token", connection_id, "sha256")[:TAG_LENGTH]
 
 
 def address_validation_token(host: str, port: int, original_dcid: bytes) -> bytes:
     """A RETRY token binding the client's source address (Issue 3 depends on
     this binding: a token returned from a different port fails validation)."""
     material = f"{host}:{port}".encode() + original_dcid
-    return hmac.new(b"retry-token", material, hashlib.sha256).digest()
+    return hmac.digest(b"retry-token", material, "sha256")

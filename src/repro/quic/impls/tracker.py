@@ -40,6 +40,7 @@ from ..frames import (
     ConnectionCloseFrame,
     CryptoFrame,
     Frame,
+    FrameError,
     HandshakeDoneFrame,
     MaxDataFrame,
     MaxStreamDataFrame,
@@ -50,6 +51,7 @@ from ..frames import (
     frame_kinds,
 )
 from ..packet import (
+    PacketError,
     PacketHeader,
     PacketType,
     decode_packet,
@@ -57,9 +59,16 @@ from ..packet import (
     header_bytes_for_aead,
 )
 from ..packetspace import PacketNumberSpace, Space
-from ..transport_params import TransportParameters
+from ..transport_params import TransportParameterError, TransportParameters
 
 REQUEST_CHUNK = 100
+
+#: The packet-number space of each packet type that carries frames.
+_SPACE_FOR_TYPE = {
+    PacketType.INITIAL: Space.INITIAL,
+    PacketType.HANDSHAKE: Space.HANDSHAKE,
+    PacketType.SHORT: Space.APPLICATION,
+}
 
 
 @dataclass(frozen=True)
@@ -171,11 +180,7 @@ class TrackerClient:
     ) -> tuple[PacketHeader, tuple[Frame, ...]]:
         """Realize an abstract request with the current connection state."""
         ptype = PacketType(packet_type)
-        space = {
-            PacketType.INITIAL: Space.INITIAL,
-            PacketType.HANDSHAKE: Space.HANDSHAKE,
-            PacketType.SHORT: Space.APPLICATION,
-        }[ptype]
+        space = _SPACE_FOR_TYPE[ptype]
         frames = tuple(self._build_frame(kind, space) for kind in kinds)
         header = self._seal_and_wrap(ptype, space, frames)
         return header, frames
@@ -306,18 +311,14 @@ class TrackerClient:
     def _decode_response(self, payload: bytes) -> ConcretePacket | None:
         try:
             header = decode_packet(payload, short_cid_length=CID_LENGTH)
-        except Exception:
+        except PacketError:
             return None
         if header.packet_type is PacketType.STATELESS_RESET:
             self.saw_stateless_reset = True
             return ConcretePacket(header=header, frames=())
         if header.packet_type is PacketType.RETRY:
             return ConcretePacket(header=header, frames=())
-        space = {
-            PacketType.INITIAL: Space.INITIAL,
-            PacketType.HANDSHAKE: Space.HANDSHAKE,
-            PacketType.SHORT: Space.APPLICATION,
-        }.get(header.packet_type)
+        space = _SPACE_FOR_TYPE.get(header.packet_type)
         if space is None:
             return None
         keys = self._keys_for(space)
@@ -329,16 +330,12 @@ class TrackerClient:
             return None
         try:
             frames = tuple(decode_frames(plaintext))
-        except Exception:
+        except FrameError:
             return None
         return ConcretePacket(header=header, frames=frames)
 
     def _register_received(self, packet: ConcretePacket) -> bool:
-        space = {
-            PacketType.INITIAL: Space.INITIAL,
-            PacketType.HANDSHAKE: Space.HANDSHAKE,
-            PacketType.SHORT: Space.APPLICATION,
-        }.get(packet.header.packet_type)
+        space = _SPACE_FOR_TYPE.get(packet.header.packet_type)
         if space is None:
             return True
         return self.spaces[space].on_received(packet.header.packet_number)
@@ -368,7 +365,7 @@ class TrackerClient:
                 self.server_params = TransportParameters.decode(
                     frame.data[4 + crypto.RANDOM_LENGTH :]
                 )
-            except Exception:
+            except TransportParameterError:
                 self.server_params = None
             self.handshake_keys = crypto.handshake_keys(
                 self.client_random, self.server_random

@@ -41,6 +41,8 @@ _LONG_TYPE_BITS = {
     PacketType.RETRY: 0x03,
 }
 _LONG_TYPE_FROM_BITS = {bits: ptype for ptype, bits in _LONG_TYPE_BITS.items()}
+#: The packet-type name bound into the AEAD associated data.
+_AEAD_TYPE_BYTES = {ptype: ptype.value.encode() for ptype in PacketType}
 
 
 class PacketError(ValueError):
@@ -131,9 +133,17 @@ def decode_packet(data: bytes, short_cid_length: int = 8) -> PacketHeader:
 
     ``short_cid_length`` tells the parser how long the destination id of a
     short-header packet is (QUIC short headers do not self-describe this).
+    Every malformed or truncated input raises :class:`PacketError`.
     """
     if not data:
         raise PacketError("empty datagram")
+    try:
+        return _parse_packet(data, short_cid_length)
+    except VarintError as exc:
+        raise PacketError(f"truncated packet: {exc}") from exc
+
+
+def _parse_packet(data: bytes, short_cid_length: int) -> PacketHeader:
     buf = Buffer(data)
     first = buf.pull_uint8()
     if not first & HEADER_FORM_LONG:
@@ -183,10 +193,7 @@ def decode_packet(data: bytes, short_cid_length: int = 8) -> PacketHeader:
     token = b""
     if ptype is PacketType.INITIAL:
         token = buf.pull_varint_bytes()
-    try:
-        length = buf.pull_varint()
-    except VarintError as exc:
-        raise PacketError(f"bad length field: {exc}") from exc
+    length = buf.pull_varint()
     if length < PN_LENGTH or length > buf.remaining:
         raise PacketError(f"bad packet length: {length}")
     packet_number = buf.pull_uint(PN_LENGTH)
@@ -209,10 +216,10 @@ def header_bytes_for_aead(header: PacketHeader) -> bytes:
     header tampering in the simulation.
     """
     return b"|".join(
-        [
-            header.packet_type.value.encode(),
+        (
+            _AEAD_TYPE_BYTES[header.packet_type],
             header.destination_cid,
             header.source_cid,
             header.packet_number.to_bytes(8, "big"),
-        ]
+        )
     )

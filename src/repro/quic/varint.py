@@ -11,8 +11,7 @@ import re
 
 VARINT_MAX = (1 << 62) - 1
 
-_PREFIX_FOR_LENGTH = {1: 0x00, 2: 0x40, 4: 0x80, 8: 0xC0}
-_LENGTH_FOR_PREFIX = {0x00: 1, 0x40: 2, 0x80: 4, 0xC0: 8}
+_ONE_BYTE = tuple(bytes([value]) for value in range(1 << 6))
 _ZERO_RUN = re.compile(b"\x00*")
 
 
@@ -35,31 +34,44 @@ def varint_length(value: int) -> int:
 
 def encode_varint(value: int) -> bytes:
     """Encode ``value`` in the minimal number of bytes."""
-    length = varint_length(value)
-    encoded = value.to_bytes(length, "big")
-    return bytes([encoded[0] | _PREFIX_FOR_LENGTH[length]]) + encoded[1:]
+    if value < 1 << 6:
+        if value >= 0:
+            return _ONE_BYTE[value]
+    elif value < 1 << 14:
+        return (value | 0x4000).to_bytes(2, "big")
+    elif value < 1 << 30:
+        return (value | 0x8000_0000).to_bytes(4, "big")
+    elif value <= VARINT_MAX:
+        return (value | 0xC000_0000_0000_0000).to_bytes(8, "big")
+    raise VarintError(f"varint out of range: {value}")
 
 
 def decode_varint(data: bytes | bytearray, offset: int = 0) -> tuple[int, int]:
     """Decode a varint at ``offset``; returns ``(value, next_offset)``."""
     if offset >= len(data):
         raise VarintError("varint truncated: empty buffer")
-    prefix = data[offset] & 0xC0
-    length = _LENGTH_FOR_PREFIX[prefix]
+    first = data[offset]
+    if first < 0x40:
+        return first, offset + 1
+    length = 1 << (first >> 6)
     end = offset + length
     if end > len(data):
         raise VarintError(
             f"varint truncated: need {length} bytes, have {len(data) - offset}"
         )
-    value = int.from_bytes(data[offset:end], "big") & ~(0xC0 << (8 * (length - 1)))
+    value = int.from_bytes(data[offset:end], "big") & ((1 << (8 * length - 2)) - 1)
     return value, end
 
 
 class Buffer:
-    """A tiny cursor-based reader/writer used by the codecs."""
+    """A tiny cursor-based reader/writer used by the codecs.
 
-    def __init__(self, data: bytes = b"") -> None:
-        self._data = bytearray(data)
+    ``Buffer()`` is a writer over a growing ``bytearray``; ``Buffer(data)``
+    is a reader that keeps ``data`` as it is (``bytes`` are not copied).
+    """
+
+    def __init__(self, data: bytes | None = None) -> None:
+        self._data = bytearray() if data is None else bytes(data)
         self._offset = 0
 
     # -- writing ---------------------------------------------------------
@@ -90,7 +102,7 @@ class Buffer:
         end = self._offset + count
         if end > len(self._data):
             raise VarintError(f"buffer underrun: need {count} bytes")
-        chunk = bytes(self._data[self._offset : end])
+        chunk = self._data[self._offset : end]
         self._offset = end
         return chunk
 
