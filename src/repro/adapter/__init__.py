@@ -1,7 +1,6 @@
-"""Adapter layer: SUL interface, pooling, packet queue, protocol adapters."""
+"""Adapter layer: SUL interface, pooling, executors, protocol adapters."""
 
 from .executor import (
-    BatchExecutor,
     ExecutorBackend,
     ExecutorError,
     ProcessExecutor,
@@ -11,7 +10,6 @@ from .executor import (
 )
 from .h3_adapter import H3AppLayer, build_h3_app, build_http3_sul
 from .http2_adapter import (
-    HTTP2AdapterSUL,
     HTTP2AppLayer,
     TransportHTTP2Client,
     abstract_frame,
@@ -31,7 +29,6 @@ from .layered import (
     compose,
 )
 from .pool import SULPool
-from .queue import PacketQueue, QueuedPacket
 from .quic_adapter import QUICAdapterSUL, abstract_packet, abstract_response
 from .remote import (
     RemoteDisconnectError,
@@ -46,17 +43,13 @@ from .tcp_adapter import TCPAdapterSUL, abstract_segment, segment_params
 
 __all__ = [
     "AppLayer",
-    "BatchExecutor",
     "ExecutorBackend",
     "ExecutorError",
     "H3AppLayer",
-    "HTTP2AdapterSUL",
     "HTTP2AppLayer",
     "LayeredSUL",
-    "PacketQueue",
     "ProcessExecutor",
     "QUICAdapterSUL",
-    "QueuedPacket",
     "QuicStreamTransport",
     "ReliableByteTransport",
     "RemoteDisconnectError",

@@ -151,7 +151,7 @@ class SerialExecutor(ExecutorBackend):
 
 
 class ThreadExecutor(ExecutorBackend):
-    """A bounded thread pool; the historical ``BatchExecutor`` semantics.
+    """A bounded thread pool (campaigns and property fan-out use it too).
 
     ``workers == 1`` (or a single-item batch) short-circuits to a plain
     loop with no threads at all, making that path byte-identical to
@@ -185,15 +185,6 @@ class ThreadExecutor(ExecutorBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class BatchExecutor(ThreadExecutor):
-    """Backward-compatible name for the thread-or-serial executor.
-
-    Campaigns, the property checker and the SUL pool's thread path have
-    always fanned out through a ``BatchExecutor``; it is now simply the
-    ``thread`` backend of the executor interface.
-    """
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from ..core.alphabet import (
     AbstractSymbol,
-    Alphabet,
     HTTP2_EMPTY_OUTPUT,
     HTTP2Output,
     HTTP2Symbol,
@@ -24,7 +23,6 @@ from ..core.alphabet import (
 from ..http2.client import HTTP2Client, HTTP2ClientConfig
 from ..http2.frames import Frame, FrameType, parse_goaway, parse_rst_stream
 from ..http2.server import HTTP2Server, HTTP2ServerConfig
-from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork
 from ..registry import SUL_REGISTRY
 from .layered import (
     AppLayer,
@@ -34,7 +32,6 @@ from .layered import (
     Transport,
     compose,
 )
-from .sul import SUL
 
 
 def abstract_frame(frame: Frame) -> HTTP2Symbol:
@@ -70,47 +67,6 @@ def frame_params(frame: Frame) -> dict[str, int]:
     return params
 
 
-class HTTP2AdapterSUL(SUL):
-    """SUL wiring the in-process HTTP/2 server to the reference client."""
-
-    def __init__(
-        self,
-        alphabet: Alphabet | None = None,
-        link: LinkConfig = PERFECT_LINK,
-        seed: int = 9,
-        server_config: HTTP2ServerConfig | None = None,
-    ) -> None:
-        super().__init__(alphabet or http2_alphabet(), name="http2")
-        self.network = SimulatedNetwork(seed=seed, config=link)
-        self.server = HTTP2Server(self.network, config=server_config, seed=seed + 1)
-        self.client = HTTP2Client(
-            self.network,
-            self.server.endpoint.address,
-            seed=seed + 2,
-        )
-
-    def _reset_impl(self) -> None:
-        self.server.reset()
-        self.client.reset()
-
-    def _step_impl(self, symbol):
-        if not isinstance(symbol, HTTP2Symbol):
-            raise TypeError(f"HTTP/2 adapter got non-HTTP/2 symbol: {symbol}")
-        sent, responses = self.client.exchange(symbol.kind, symbol.flags)
-        in_params = frame_params(sent)
-        out_params: dict[str, int] = {}
-        for frame in responses:
-            # Later frames override earlier ones only for fields they
-            # actually carry (the GOAWAY error code is what the property
-            # checks consume).
-            out_params.update(frame_params(frame))
-        return abstract_frames(responses), in_params, out_params
-
-    def close(self) -> None:
-        self.client.close()
-        self.server.close()
-
-
 class TransportHTTP2Client(HTTP2Client):
     """The reference client with its bytes routed over a composed transport.
 
@@ -140,11 +96,10 @@ class TransportHTTP2Client(HTTP2Client):
 class HTTP2AppLayer(AppLayer):
     """HTTP/2 protocol logic riding a reliable byte transport.
 
-    The same server/client pair as :class:`HTTP2AdapterSUL`, but wired
-    through the layered-adapter API: the server consumes stream-0 events
-    via :meth:`~repro.http2.server.HTTP2Server.process_bytes` and the
-    client transmits through the transport.  Under a perfect link the
-    learned model is byte-identical to the monolithic adapter's.
+    The in-process server and the reference client, wired through the
+    layered-adapter API: the server consumes stream-0 events via
+    :meth:`~repro.http2.server.HTTP2Server.process_bytes` and the client
+    transmits through the transport.
     """
 
     name = "http2"
@@ -210,9 +165,8 @@ def build_http2_app(
     return HTTP2AppLayer(transport, seed=seed, server_config=server_config)
 
 
-#: ``http2``: the HTTP/2 app composed over the reliable byte pipe.  Same
-#: learned model as :class:`HTTP2AdapterSUL` (regression-tested), but the
-#: stack is now declared with the layered-adapter API.
+#: ``http2``: the HTTP/2 app composed over the reliable byte pipe.  Its
+#: learned model is pinned by ``tests/golden/http2_model.json``.
 build_http2_sul = compose(ReliableByteTransport, build_http2_app, name="http2")
 SUL_REGISTRY.register("http2", build_http2_sul)
 

@@ -36,12 +36,7 @@ from typing import Callable, Mapping, Sequence
 from ..core.alphabet import AbstractSymbol
 from ..core.oracle_table import OracleEntry
 from ..core.trace import Word
-from .executor import (  # noqa: F401  (BatchExecutor re-exported for compat)
-    BatchExecutor,
-    ExecutorError,
-    ProcessExecutor,
-    build_executor,
-)
+from .executor import ProcessExecutor, build_executor
 from .sul import SUL, SULStats
 
 

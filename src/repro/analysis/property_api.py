@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..adapter.pool import BatchExecutor
+from ..adapter.executor import ThreadExecutor
 from ..core.extended import ConcreteStep, ExtendedMealyMachine
 from ..core.mealy import MealyMachine
 from ..core.oracle_table import OracleTable
@@ -460,13 +460,13 @@ def check_properties_batch(
     **check_kwargs,
 ) -> list[PropertyReport]:
     """Fan suite evaluation over many models on a
-    :class:`~repro.adapter.pool.BatchExecutor` (campaign-scale analyses).
+    :class:`~repro.adapter.executor.ThreadExecutor` (campaign-scale analyses).
 
     ``jobs`` pairs each model with its property suite; results are in
     job order.  ``check_kwargs`` (``depth``, ``minimize``, ...) apply to
     every job.
     """
-    executor = BatchExecutor(workers)
+    executor = ThreadExecutor(workers)
     try:
         return executor.map(
             lambda job: check_properties(job[0], job[1], **check_kwargs),

@@ -27,6 +27,7 @@ divergences ride along in the same corpus.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -41,6 +42,8 @@ from ..registry import attacks_for
 from .automata import AttackerAutomaton, resolve_attacker
 from .fuzzer import FuzzReport, fuzz_frontier
 from .search import AttackStrategy, synthesize_attack
+
+logger = logging.getLogger(__name__)
 
 VERDICT_CONFIRMED = "CONFIRMED"
 VERDICT_REFUTED = "REFUTED"
@@ -250,16 +253,26 @@ class AttackReport:
 
 
 def _fresh_model(spec) -> MealyMachine | None:
-    """Relearn the target from scratch to explain a divergence."""
+    """Relearn the target from scratch to explain a divergence.
+
+    A failed relearn leaves the divergence without a
+    :class:`~repro.analysis.diff.ModelDiff`; it is logged, not raised.
+    """
     from ..framework import Prognosis
 
     try:
         clean = spec.clone(
-            middleware=["cache"], executor={"kind": "serial"}, store=None
+            middleware=["cache"], executor={"kind": "serial"}, store=None, corpus=None
         )
         with Prognosis.from_spec(clean) as prognosis:
             return prognosis.learn().model
     except Exception:
+        logger.warning(
+            "relearning %s to explain a divergence failed; "
+            "the result carries no model diff",
+            spec.display_name(),
+            exc_info=True,
+        )
         return None
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .adapter.pool import BatchExecutor
+from .adapter.executor import ThreadExecutor
 from .analysis.diff import ModelDiff, diff_models
 from .analysis.difftest import (
     VERDICT_AGREE,
@@ -223,7 +223,7 @@ class Campaign:
     def run(self) -> list[RunResult]:
         """Execute every spec; results are in spec order."""
         load_builtins()
-        executor = BatchExecutor(self.workers)
+        executor = ThreadExecutor(self.workers)
         try:
             return executor.map(self._run_one, list(enumerate(self.specs)))
         finally:
@@ -261,7 +261,7 @@ class Campaign:
             spec.validate()
             shared = None
             if self.share_cache and any(
-                m.kind in ("cache", "store", "passive") for m in spec.middleware
+                m.kind == "cache" for m in spec.middleware
             ):
                 shared = self._warm_cache(spec.sul_fingerprint())
             properties_report = None
@@ -528,7 +528,7 @@ class DiffCampaign:
         }
 
         pairs = [(i, j) for i in range(len(names)) for j in range(len(names))]
-        executor = BatchExecutor(self.workers)
+        executor = ThreadExecutor(self.workers)
         try:
             cells = executor.map(
                 lambda pair: self._replay_pair(pair, runs, suites, campaign), pairs

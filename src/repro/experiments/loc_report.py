@@ -84,5 +84,5 @@ def loc_report() -> LocReport:
                 "quic/behavior.py",
             ]
         ),
-        adapter_framework=count_loc(["adapter/sul.py", "adapter/queue.py"]),
+        adapter_framework=count_loc(["adapter/sul.py"]),
     )

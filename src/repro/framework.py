@@ -304,6 +304,24 @@ class Prognosis:
     def learn(self) -> LearningReport:
         """Run active learning to completion and package the accounting."""
         result: LearningResult = self.learner.learn()
+        cache = self.cache_oracle
+        if cache is None:
+            counters = {
+                "oracle_queries": self.base_oracle.stats.queries,
+                "cache_hit_rate": 0.0,
+            }
+        else:
+            counters = {
+                "oracle_queries": cache.stats.queries,
+                "cache_hit_rate": cache.hit_rate,
+                "prefix_collapsed": cache.prefix_collapsed,
+                "batch_deduped": cache.batch_deduped,
+                "store_hits": cache.store_hits,
+                "store_hit_rate": cache.store_hit_rate,
+                "corpus_hits": cache.corpus_hits,
+                "corpus_hit_rate": cache.corpus_hit_rate,
+                "corpus_skipped": cache.corpus_skipped,
+            }
         return LearningReport(
             model=result.model,
             rounds=result.rounds,
@@ -311,31 +329,9 @@ class Prognosis:
             sul_queries=self.sul.stats.queries,
             sul_steps=self.sul.stats.steps,
             sul_resets=self.sul.stats.resets,
-            oracle_queries=(
-                self.cache_oracle.stats.queries
-                if self.cache_oracle is not None
-                else self.base_oracle.stats.queries
-            ),
-            cache_hit_rate=(
-                self.cache_oracle.hit_rate if self.cache_oracle is not None else 0.0
-            ),
-            prefix_collapsed=(
-                self.cache_oracle.prefix_collapsed
-                if self.cache_oracle is not None
-                else 0
-            ),
-            batch_deduped=(
-                self.cache_oracle.batch_deduped
-                if self.cache_oracle is not None
-                else 0
-            ),
             workers=self.workers,
-            store_hits=getattr(self.cache_oracle, "store_hits", 0),
-            store_hit_rate=getattr(self.cache_oracle, "store_hit_rate", 0.0),
-            corpus_hits=getattr(self.cache_oracle, "corpus_hits", 0),
-            corpus_hit_rate=getattr(self.cache_oracle, "corpus_hit_rate", 0.0),
-            corpus_skipped=getattr(self.cache_oracle, "corpus_skipped", 0),
             eq_attribution=self.equivalence_oracle.attribution(),
+            **counters,
         )
 
     # ------------------------------------------------------------------
@@ -343,8 +339,8 @@ class Prognosis:
         """Release the SUL's resources (pool threads, simulated sockets).
 
         Safe to call on any SUL; a no-op when the SUL has no ``close``.
-        Middleware layers close too -- the store-backed cache flushes its
-        append buffer and records usage here.  Long-running sweeps
+        Middleware layers close too -- a cache layer with a store flushes
+        its append buffer and records usage here.  Long-running sweeps
         constructing many pooled ``Prognosis`` objects should use the
         context-manager protocol (or call this) after each run.
         """

@@ -4,7 +4,6 @@ from .bulk import (
     BulkLearnResult,
     CorpusConflict,
     CorpusFormatError,
-    CorpusSeededCache,
     CorpusStats,
     bulk_passive_learn,
     generate_corpus,
@@ -12,7 +11,6 @@ from .bulk import (
     log_sessions,
     read_jsonl_corpus,
     record_full_corpus,
-    seed_oracle_from_corpus,
     write_jsonl_corpus,
 )
 from .cache import CacheInconsistencyError, CachedMembershipOracle, QueryCache
@@ -41,7 +39,6 @@ from .passive import (
     seed_cache_from_traces,
 )
 from .teacher import (
-    CountingOracle,
     EquivalenceOracle,
     MembershipOracle,
     OracleStats,
@@ -58,9 +55,7 @@ __all__ = [
     "ChainedEquivalenceOracle",
     "CorpusConflict",
     "CorpusFormatError",
-    "CorpusSeededCache",
     "CorpusStats",
-    "CountingOracle",
     "Decomposition",
     "DiscriminationTree",
     "EquivalenceOracle",
@@ -95,6 +90,5 @@ __all__ = [
     "rivest_schapire",
     "rpni_mealy",
     "seed_cache_from_traces",
-    "seed_oracle_from_corpus",
     "write_jsonl_corpus",
 ]

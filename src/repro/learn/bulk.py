@@ -10,10 +10,12 @@ means traces arrive in bulk, not one active query at a time"):
   target to produce session logs.  :func:`record_full_corpus` dumps one
   active run's entire observation set -- a *covering* corpus, the bulk
   analogue of a warm persistent store.
-* **The ``passive`` middleware** -- :class:`CorpusSeededCache` is the
-  prefix-tree cache layer pre-seeded from a corpus file; conflicting
-  (nondeterministic) traces are skipped and counted, never fatal, and
-  hit accounting attributes corpus-served answers.
+* **Corpus seeding** -- :func:`load_corpus_cache` streams a corpus into
+  a prefix-tree trie; conflicting (nondeterministic) traces are skipped
+  and counted, never fatal.  A spec's ``corpus`` section
+  (:class:`~repro.spec.CorpusSpec`) seeds the
+  :class:`~repro.learn.cache.CachedMembershipOracle` layer this way,
+  which then attributes corpus-served answers.
 * **The pipeline** -- :func:`bulk_passive_learn` folds the corpus trie
   into a :class:`~repro.learn.passive.PartialMealyMachine` (hardened
   RPNI), turns its undetermined ``(state, symbol)`` cells into targeted
@@ -23,10 +25,8 @@ means traces arrive in bulk, not one active query at a time"):
   warm path; the refined model is byte-identical to a pure-active run
   because cache warmth never changes a deterministic SUL's answers.
 
-Specs opt in declaratively via their ``corpus`` section
-(:class:`~repro.spec.CorpusSpec`); with *both* a ``store`` and a
-``corpus``, :func:`seed_oracle_from_corpus` streams the corpus through
-the store-backed cache's record hook, persisting the observations.
+With *both* a ``store`` and a ``corpus`` section, the cache layer also
+persists the corpus observations into the store.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Iterable, Iterator
 
 from ..core.alphabet import SymbolError, deserialize_symbol, serialize_symbol
 from ..core.trace import IOTrace, Word, render_word
-from ..registry import MIDDLEWARE_REGISTRY, SUL_REGISTRY, load_builtins
-from .cache import CachedMembershipOracle, CacheInconsistencyError, QueryCache
+from ..registry import SUL_REGISTRY, load_builtins
+from .cache import CacheInconsistencyError, QueryCache
 from .passive import (
     PartialMealyMachine,
     TraceConflictError,
@@ -173,24 +173,30 @@ def load_corpus_cache(
     source,
     skip_conflicts: bool = True,
     max_traces: int | None = None,
+    into: QueryCache | None = None,
 ) -> tuple[QueryCache, CorpusStats]:
     """One streaming pass: corpus -> prefix-tree trie + accounting.
 
-    The returned :class:`~repro.learn.cache.QueryCache` both seeds the
-    active learner's cache and *is* the passive learner's prefix tree
-    (:func:`~repro.learn.passive.prefix_tree_from_cache`).  Traces that
-    contradict the corpus read so far are skipped and counted when
+    The returned :class:`~repro.learn.cache.QueryCache` holds the
+    accepted traces; it *is* the passive learner's prefix tree
+    (:func:`~repro.learn.passive.prefix_tree_from_cache`).  ``into``,
+    when given, is a live cache the corpus seeds: every accepted trace
+    goes there too, and a trace contradicting anything it already holds
+    is a conflict.  Traces that conflict are skipped and counted when
     ``skip_conflicts`` (nondeterministic logs are a finding, not a
     crash), or raise :class:`~repro.learn.passive.TraceConflictError`
     otherwise.
     """
     cache = QueryCache()
+    seeded = cache if into is None else into
     stats = CorpusStats()
     for index, trace in enumerate(iter_corpus(source)):
         if max_traces is not None and stats.traces >= max_traces:
             break
         try:
-            cache.check_consistent(trace.inputs, trace.outputs)
+            # insert raises before it creates a node, so a conflicting
+            # trace leaves the trie untouched.
+            seeded.insert(trace.inputs, trace.outputs)
         except CacheInconsistencyError as error:
             if not skip_conflicts:
                 raise TraceConflictError(
@@ -200,7 +206,8 @@ def load_corpus_cache(
                 CorpusConflict(index, error.word, error.cached, error.fresh)
             )
             continue
-        cache.insert(trace.inputs, trace.outputs)
+        if into is not None:
+            cache.insert(trace.inputs, trace.outputs)
         stats.traces += 1
         stats.tokens += len(trace)
     stats.words = cache.entries
@@ -269,99 +276,6 @@ def record_full_corpus(spec, path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The "passive" middleware layer
-# ---------------------------------------------------------------------------
-
-@MIDDLEWARE_REGISTRY.register("passive")
-class CorpusSeededCache(CachedMembershipOracle):
-    """The prefix-tree cache layer pre-seeded from a bulk trace corpus.
-
-    :func:`repro.spec.assemble` upgrades a spec's plain ``cache`` layer
-    to this when the spec carries a ``corpus`` section (and no store; a
-    store-backed stack is instead seeded through its record hook so the
-    corpus persists).  Hit accounting mirrors the store middleware:
-    ``corpus_hits`` counts membership queries answered by observations
-    that came from the corpus file rather than this run.
-    """
-
-    def __init__(
-        self,
-        inner,
-        path,
-        skip_conflicts: bool = True,
-        max_traces: int | None = None,
-        collapse_prefixes: bool = True,
-        cache: QueryCache | None = None,
-    ) -> None:
-        super().__init__(inner, collapse_prefixes=collapse_prefixes, cache=cache)
-        self.corpus_path = str(path)
-        self.corpus_cache, self.corpus_stats = load_corpus_cache(
-            path, skip_conflicts=skip_conflicts, max_traces=max_traces
-        )
-        # A conflict between the corpus and a pre-warmed shared cache is
-        # a caller bug (or genuine nondeterminism): raise, like the store.
-        self.cache.merge_from(self.corpus_cache)
-        self.corpus_hits = 0
-
-    def _note_hits(self, word: Word, count: int = 1) -> None:
-        super()._note_hits(word, count)
-        if self.corpus_cache.lookup(word) is not None:
-            self.corpus_hits += count
-
-    @property
-    def corpus_hit_rate(self) -> float:
-        """Share of membership queries served from the corpus."""
-        total = self.hits + self.misses
-        return self.corpus_hits / total if total else 0.0
-
-    @property
-    def corpus_words(self) -> int:
-        return self.corpus_cache.entries
-
-    @property
-    def corpus_skipped(self) -> int:
-        return len(self.corpus_stats.skipped)
-
-
-def seed_oracle_from_corpus(layer: CachedMembershipOracle, corpus_spec) -> CorpusStats:
-    """Stream a corpus into an existing cache layer via its record hook.
-
-    :func:`~repro.learn.passive.seed_cache_from_traces` at bulk scale:
-    used when a spec carries *both* a store and a corpus -- recording
-    through a :class:`~repro.store.middleware.StoreBackedCache` persists
-    the corpus observations into the store.  Observations conflicting
-    with what the layer already knows (store rows beat corpus lines) are
-    skipped and counted.  The corpus trie and stats are attached to the
-    layer as ``corpus_cache`` / ``corpus_stats`` so the bulk pipeline
-    and the learning report can account for them.
-    """
-    cache, stats = load_corpus_cache(
-        corpus_spec.path,
-        skip_conflicts=corpus_spec.skip_conflicts,
-        max_traces=corpus_spec.max_traces,
-    )
-    for word, outputs in cache.dump():
-        if layer.cache.lookup(word) is not None:
-            continue
-        try:
-            layer.cache.check_consistent(word, outputs)
-        except CacheInconsistencyError as error:
-            if not corpus_spec.skip_conflicts:
-                raise TraceConflictError(
-                    error.word, error.cached, error.fresh
-                ) from None
-            stats.skipped.append(
-                CorpusConflict(None, error.word, error.cached, error.fresh)
-            )
-            continue
-        layer._record(word, outputs)
-    layer.corpus_cache = cache
-    layer.corpus_stats = stats
-    layer.corpus_skipped = len(stats.skipped)
-    return stats
-
-
-# ---------------------------------------------------------------------------
 # The passive -> active pipeline
 # ---------------------------------------------------------------------------
 
@@ -417,7 +331,7 @@ def bulk_passive_learn(spec, *, refine: bool = True, shared_cache=None) -> BulkL
     """The full pipeline: stream corpus -> fold -> targeted refinement.
 
     Requires a spec with a ``corpus`` section.  The corpus is read once
-    (by the ``passive``/store middleware the spec assembles); its trie
+    (by the cache layer the spec assembles); its trie
     seeds the active learner's cache *and* folds into the passive
     :class:`~repro.learn.passive.PartialMealyMachine`.  With ``refine``,
     each undetermined ``(state, symbol)`` cell becomes one targeted
@@ -435,22 +349,8 @@ def bulk_passive_learn(spec, *, refine: bool = True, shared_cache=None) -> BulkL
         raise SpecError("bulk_passive_learn needs a spec with a corpus section")
     spec.validate()
     with Prognosis.from_spec(spec, shared_cache=shared_cache) as prognosis:
-        layer = next(
-            (m for m in prognosis.middleware if isinstance(m, CorpusSeededCache)),
-            None,
-        )
-        if layer is not None:
-            corpus_cache, stats = layer.corpus_cache, layer.corpus_stats
-        else:
-            # Store-backed stack: seed_oracle_from_corpus attached the trie.
-            corpus_cache = getattr(prognosis.cache_oracle, "corpus_cache", None)
-            stats = getattr(prognosis.cache_oracle, "corpus_stats", None)
-            if corpus_cache is None:
-                corpus_cache, stats = load_corpus_cache(
-                    spec.corpus.path,
-                    skip_conflicts=spec.corpus.skip_conflicts,
-                    max_traces=spec.corpus.max_traces,
-                )
+        corpus_cache = prognosis.cache_oracle.corpus_cache
+        stats = prognosis.cache_oracle.corpus_stats
         passive_model = fold_prefix_tree(
             prefix_tree_from_cache(corpus_cache), prognosis.oracle.input_alphabet
         )

@@ -13,6 +13,10 @@ without touching the SUL, and collapses words that are prefixes of other
 batch members -- prefix-closure means a single SUL run of the longer word
 answers both.  Only the surviving words are forwarded to the inner oracle
 (majority vote, SUL pool, ...) in one batch.
+
+It is also the one layer where answers from outside the run come in: an
+optional persistent query store and an optional trace corpus warm the
+trie, and hit accounting says how many answers each of them supplied.
 """
 
 from __future__ import annotations
@@ -196,6 +200,29 @@ class CachedMembershipOracle:
     always on.  Passing ``cache`` substitutes a pre-warmed
     :class:`QueryCache` (campaigns share per-SUL-fingerprint caches across
     runs this way).
+
+    Two optional sources warm the trie before the first query, and hit
+    accounting attributes answers to them (:func:`repro.spec.assemble`
+    attaches a spec's ``store`` and ``corpus`` sections here):
+
+    * ``store`` -- a :class:`~repro.store.query_store.QueryStore`.  Every
+      observation it holds for ``fingerprint`` is loaded, and every
+      observation it lacks (fresh SUL answers and corpus lines alike) is
+      appended back.  ``store_hits`` counts queries answered by what the
+      store held when the run began.  A stored row that contradicts the
+      pre-warmed ``cache`` raises :class:`CacheInconsistencyError`:
+      stale rows must be garbage-collected, never silently preferred.
+    * ``corpus`` -- a :class:`~repro.spec.CorpusSpec` naming a JSONL
+      trace corpus (:mod:`repro.learn.bulk`), streamed in after the
+      store.  A line that contradicts anything already in the trie is
+      skipped and counted in ``corpus_stats``, or raises
+      :class:`~repro.learn.passive.TraceConflictError` when the spec
+      sets ``skip_conflicts=False``.  ``corpus_hits`` counts queries
+      answered by corpus observations.
+
+    The layer owns ``store``: :meth:`close` (which the
+    :class:`~repro.framework.Prognosis` context manager calls) flushes
+    it and records this session's usage.
     """
 
     def __init__(
@@ -203,7 +230,12 @@ class CachedMembershipOracle:
         inner: MembershipOracle,
         collapse_prefixes: bool = True,
         cache: QueryCache | None = None,
+        store=None,
+        fingerprint: str = "",
+        corpus=None,
     ) -> None:
+        from .bulk import CorpusStats, load_corpus_cache  # bulk imports this module
+
         self.inner = inner
         self.input_alphabet: Alphabet = inner.input_alphabet
         self.cache = cache if cache is not None else QueryCache()
@@ -213,15 +245,51 @@ class CachedMembershipOracle:
         self.misses = 0
         self.batch_deduped = 0
         self.prefix_collapsed = 0
+        self.store = store
+        self.fingerprint = fingerprint
+        self.store_hits = 0
+        self.corpus_hits = 0
+        self.corpus_stats = CorpusStats()
+        #: What the store held when the run began, and what the corpus
+        #: contributed: second tries, so hit accounting can tell those
+        #: answers apart from within-run ones (prefix hits included).
+        self.stored: QueryCache | None = None
+        self.corpus_cache: QueryCache | None = None
+        try:
+            if store is not None:
+                self.stored = QueryCache()
+                for word, outputs in store.observations(fingerprint):
+                    self.stored.insert(word, outputs)
+                    self.cache.insert(word, outputs)
+            if corpus is not None:
+                self.corpus_cache, self.corpus_stats = load_corpus_cache(
+                    corpus.path,
+                    skip_conflicts=corpus.skip_conflicts,
+                    max_traces=corpus.max_traces,
+                    into=self.cache,
+                )
+                if store is not None:
+                    for word, outputs in self.corpus_cache.dump():
+                        self._persist(word, outputs)
+        except BaseException:
+            self.close()
+            raise
 
     def _note_hits(self, word: Word, count: int = 1) -> None:
-        """Hit accounting hook (:class:`~repro.store.middleware
-        .StoreBackedCache` overrides it to attribute store-served hits)."""
         self.hits += count
+        if self.stored is not None and self.stored.lookup(word) is not None:
+            self.store_hits += count
+        if self.corpus_cache is not None and self.corpus_cache.lookup(word) is not None:
+            self.corpus_hits += count
+
+    def _persist(self, word: Word, outputs: Word) -> None:
+        """Append an observation the store did not hold at the start."""
+        if self.store is not None and self.stored.lookup(word) is None:
+            self.store.append(self.fingerprint, word, outputs)
 
     def _record(self, word: Word, outputs: Word) -> None:
-        """Fresh-observation hook; the store middleware also persists."""
         self.cache.insert(word, outputs)
+        self._persist(word, outputs)
 
     def query(self, word: Sequence[AbstractSymbol]) -> Word:
         word = tuple(word)
@@ -285,5 +353,37 @@ class CachedMembershipOracle:
 
     @property
     def hit_rate(self) -> float:
+        return self._share(self.hits)
+
+    @property
+    def store_hit_rate(self) -> float:
+        """Share of membership queries served from the persistent store."""
+        return self._share(self.store_hits)
+
+    @property
+    def corpus_hit_rate(self) -> float:
+        """Share of membership queries served from the corpus."""
+        return self._share(self.corpus_hits)
+
+    @property
+    def corpus_skipped(self) -> int:
+        """Corpus lines skipped because they contradicted the trie."""
+        return len(self.corpus_stats.skipped)
+
+    def _share(self, count: int) -> float:
         total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return count / total if total else 0.0
+
+    def close(self) -> None:
+        """Flush buffered store appends and record this session's usage.
+
+        A no-op without a store, and on every call after the first.
+        """
+        store, self.store = self.store, None
+        if store is None:
+            return
+        if self.hits or self.misses:
+            store.record_usage(
+                self.fingerprint, hits=self.store_hits, misses=self.misses
+            )
+        store.close()

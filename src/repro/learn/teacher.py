@@ -91,25 +91,6 @@ class SULMembershipOracle:
         return list(self.sul.query_batch(words))
 
 
-class CountingOracle:
-    """A transparent pass-through layer that only counts (for ablations)."""
-
-    def __init__(self, inner: MembershipOracle) -> None:
-        self.inner = inner
-        self.input_alphabet = inner.input_alphabet
-        self.stats = OracleStats()
-
-    def query(self, word: Sequence[AbstractSymbol]) -> Word:
-        self.stats.note(word)
-        return self.inner.query(word)
-
-    def query_batch(self, words: Sequence[Sequence[AbstractSymbol]]) -> list[Word]:
-        words = [tuple(word) for word in words]
-        for word in words:
-            self.stats.note(word)
-        return self.inner.query_batch(words)
-
-
 def mq_suffix(
     oracle: MembershipOracle, prefix: Word, suffix: Word
 ) -> Word:

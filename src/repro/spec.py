@@ -213,13 +213,13 @@ class StoreSpec(_Section):
     """The declarative ``store`` section of an experiment spec.
 
     ``path`` locates the sqlite :class:`~repro.store.query_store
-    .QueryStore` file; when set, :func:`assemble` swaps the spec's
-    ``cache`` middleware layer for a :class:`~repro.store.middleware
-    .StoreBackedCache` keyed by the spec's
-    :meth:`~ExperimentSpec.sul_fingerprint`, so observations warm-start
-    across processes and days.  ``flush_every`` batches appended rows
-    per transaction.  In dict/JSON form a bare string is shorthand for
-    a path with default knobs.
+    .QueryStore` file; when set, :func:`assemble` attaches that store,
+    keyed by the spec's :meth:`~ExperimentSpec.sul_fingerprint`, to the
+    spec's ``cache`` middleware layer
+    (:class:`~repro.learn.cache.CachedMembershipOracle`), so
+    observations warm-start across processes and days.  ``flush_every``
+    batches appended rows per transaction.  In dict/JSON form a bare
+    string is shorthand for a path with default knobs.
 
     Like the executor, the store deliberately does not contribute to
     the SUL fingerprint: it changes where answers come *from*, never
@@ -247,15 +247,16 @@ class CorpusSpec(_Section):
     """The declarative ``corpus`` section of an experiment spec.
 
     ``path`` locates a JSONL trace corpus (see
-    :mod:`repro.learn.bulk`); when set, :func:`assemble` upgrades the
-    spec's plain ``cache`` middleware layer to the corpus-seeded
-    ``passive`` layer, so membership queries the corpus already answers
-    never reach the live SUL -- and when the spec *also* carries a
-    ``store`` section, the corpus is streamed through the store-backed
-    cache instead, persisting its observations.  ``skip_conflicts``
-    makes nondeterministic traces a counted finding rather than an
-    error; ``max_traces`` bounds the streaming read.  In dict/JSON form
-    a bare string is shorthand for a path with default knobs.
+    :mod:`repro.learn.bulk`); when set, :func:`assemble` attaches it to
+    the spec's ``cache`` middleware layer
+    (:class:`~repro.learn.cache.CachedMembershipOracle`), which streams
+    it into its trie, so membership queries the corpus already answers
+    never reach the live SUL.  With a ``store`` section too, the layer
+    also persists the corpus observations into the store.
+    ``skip_conflicts`` makes a trace that contradicts the trie a counted
+    finding rather than an error; ``max_traces`` bounds the streaming
+    read.  In dict/JSON form a bare string is shorthand for a path with
+    default knobs.
 
     Like the executor and the store, the corpus deliberately does not
     contribute to the SUL fingerprint: it changes where answers come
@@ -455,20 +456,11 @@ class ExperimentSpec(_Section):
             section = getattr(self, spec_field.name)
             if isinstance(section, _Section):
                 section.validate()
-        if self.store is not None and not any(
-            m.kind in ("cache", "store") for m in self.middleware
-        ):
-            raise SpecError(
-                "a store section needs a 'cache' (or 'store') "
-                "middleware layer to back"
-            )
-        if self.corpus is not None and not any(
-            m.kind in ("cache", "store", "passive") for m in self.middleware
-        ):
-            raise SpecError(
-                "a corpus section needs a 'cache' (or 'store'/'passive') "
-                "middleware layer to seed"
-            )
+        has_cache = any(m.kind == "cache" for m in self.middleware)
+        if self.store is not None and not has_cache:
+            raise SpecError("a store section needs a 'cache' middleware layer to back")
+        if self.corpus is not None and not has_cache:
+            raise SpecError("a corpus section needs a 'cache' middleware layer to seed")
         for registry, keys in (
             (SUL_REGISTRY, [self.target]),
             (LEARNER_REGISTRY, [self.learner]),
@@ -554,9 +546,12 @@ def assemble(
     """Build the full pipeline a spec describes.
 
     ``sul`` substitutes a ready instance (the facade's legacy path);
-    otherwise the target registry builds it.  ``shared_cache`` pre-warms
-    the first ``cache`` middleware layer with an existing
-    :class:`~repro.learn.cache.QueryCache` (campaign cross-run sharing).
+    otherwise the target registry builds it.  The first ``cache``
+    middleware layer gets the spec's ``store`` (opened here, keyed by
+    :meth:`~ExperimentSpec.sul_fingerprint`) and ``corpus`` sections,
+    and ``shared_cache``, an existing
+    :class:`~repro.learn.cache.QueryCache` to pre-warm it with
+    (campaign cross-run sharing).
     """
     load_builtins()
     owns_sul = sul is None
@@ -566,63 +561,27 @@ def assemble(
     try:
         base_oracle = SULMembershipOracle(sul)
         oracle: MembershipOracle = base_oracle
-        cache_warmed = False
-        store_attached = False
-        corpus_attached = False
+        sourced = False
         for component in spec.middleware:
-            kind = component.kind
             params = dict(component.params)
-            # The store section upgrades the first plain cache layer to
-            # the store-backed one; an explicit "store" layer just gets
-            # the spec's identity defaults filled in.  A corpus section
-            # (without a store) likewise upgrades the cache layer to the
-            # corpus-seeded "passive" one; with both, the store wins the
-            # layer and the corpus is streamed through it below.
-            if kind == "cache" and spec.store is not None and not store_attached:
-                kind = "store"
-            if (
-                kind == "cache"
-                and spec.corpus is not None
-                and not corpus_attached
-            ):
-                kind = "passive"
-            if kind == "store" and not store_attached:
+            if component.kind == "cache" and not sourced:
+                # The first cache layer gets everything that warms a
+                # trie: the campaign's shared cache, the store, the corpus.
+                sourced = True
+                if shared_cache is not None:
+                    params["cache"] = shared_cache
                 if spec.store is not None:
-                    params.setdefault("path", spec.store.path)
-                    params.setdefault("flush_every", spec.store.flush_every)
-                params.setdefault("fingerprint", spec.sul_fingerprint())
-                store_attached = True
-            if kind == "passive" and not corpus_attached:
+                    from .store.query_store import QueryStore
+
+                    params["store"] = QueryStore(
+                        spec.store.path, flush_every=spec.store.flush_every
+                    )
+                    params["fingerprint"] = spec.sul_fingerprint()
                 if spec.corpus is not None:
-                    params.setdefault("path", spec.corpus.path)
-                    params.setdefault("skip_conflicts", spec.corpus.skip_conflicts)
-                    params.setdefault("max_traces", spec.corpus.max_traces)
-                corpus_attached = True
-            factory = MIDDLEWARE_REGISTRY.get(kind)
-            if (
-                kind in ("cache", "store", "passive")
-                and shared_cache is not None
-                and not cache_warmed
-            ):
-                params.setdefault("cache", shared_cache)
-                cache_warmed = True
-            layer = factory(oracle, **params)
+                    params["corpus"] = spec.corpus
+            layer = MIDDLEWARE_REGISTRY.get(component.kind)(oracle, **params)
             layers.append(layer)
             oracle = layer
-
-        if spec.corpus is not None and not corpus_attached:
-            # Store-backed (or custom) stacks keep their cache layer;
-            # stream the corpus through its record hook instead -- with
-            # a store this persists the corpus observations
-            # (seed_cache_from_traces at bulk scale).
-            from .learn.bulk import seed_oracle_from_corpus
-            from .learn.cache import CachedMembershipOracle
-
-            for layer in layers:
-                if isinstance(layer, CachedMembershipOracle):
-                    seed_oracle_from_corpus(layer, spec.corpus)
-                    corpus_attached = True
-                    break
 
         equivalence_oracle = build_equivalence_chain(spec, oracle)
 

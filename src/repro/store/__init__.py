@@ -2,8 +2,9 @@
 
 * :class:`~repro.store.query_store.QueryStore` -- durable sqlite-backed
   membership observations keyed by SUL fingerprint (WAL, append-only);
-* :class:`~repro.store.middleware.StoreBackedCache` -- the ``store``
-  oracle middleware wiring that store under the prefix-tree cache;
+  a spec's ``store`` section attaches one to its prefix-tree cache layer
+  (:class:`~repro.learn.cache.CachedMembershipOracle`), which loads it
+  and appends every observation it lacks;
 * :class:`~repro.store.model_store.ModelStore` -- versioned learned-model
   lineage in the same sqlite file;
 * :func:`~repro.store.incremental.incremental_learn` -- re-learning that
@@ -17,7 +18,6 @@ from .incremental import (
     IncrementalResult,
     incremental_learn,
 )
-from .middleware import StoreBackedCache
 from .model_store import ModelRecord, ModelStore
 from .query_store import (
     FingerprintStats,
@@ -36,7 +36,6 @@ __all__ = [
     "ModelRecord",
     "ModelStore",
     "QueryStore",
-    "StoreBackedCache",
     "StoreError",
     "decode_word",
     "encode_word",

@@ -206,9 +206,8 @@ def incremental_learn(
                         revalidation_sul_queries=sul_queries,
                     )
 
-            cache = prognosis.cache_oracle
-            result.store_hits = getattr(cache, "store_hits", 0)
-            result.store_hit_rate = getattr(cache, "store_hit_rate", 0.0)
+            result.store_hits = prognosis.cache_oracle.store_hits
+            result.store_hit_rate = prognosis.cache_oracle.store_hit_rate
 
         if save and result.mode != MODE_REVALIDATED:
             result.saved_version = models.save(

@@ -1,6 +1,7 @@
 """Live-SUL replay: verdict classification, orchestration, corpus emission."""
 
 import json
+import logging
 
 from repro.adapter.mealy_sul import MealySUL
 from repro.analysis.property_api import Property
@@ -16,7 +17,7 @@ from repro.attack.search import synthesize_attack
 from repro.core.alphabet import Alphabet, TCPSymbol, parse_tcp_symbol
 from repro.core.mealy import mealy_from_table
 from repro.framework import Prognosis
-from repro.learn.bulk import stream_corpus
+from repro.learn.bulk import record_full_corpus, stream_corpus
 from repro.learn.cache import CachedMembershipOracle
 from repro.learn.teacher import SULMembershipOracle
 from repro.spec import AttackSpec, ExperimentSpec
@@ -206,6 +207,55 @@ class TestRunAttacks:
         assert result.model_diff is not None
         assert not result.model_diff.equivalent
         assert "diverged" in report.summary()
+
+    def test_divergence_relearn_ignores_a_stale_corpus(self, tmp_path):
+        # The live spec carries a corpus recorded from the stale target:
+        # the explaining relearn must ask the live SUL, not that corpus.
+        stale_spec = ExperimentSpec(target="tcp", seed=7, name="tcp")
+        corpus = tmp_path / "stale.jsonl"
+        record_full_corpus(stale_spec, corpus)
+        with Prognosis.from_spec(stale_spec) as prognosis:
+            stale_model = prognosis.learn().model
+        live_spec = ExperimentSpec(
+            target="tcp-no-challenge-ack",
+            seed=7,
+            name="tcp",
+            corpus=str(corpus),
+            attack=AttackSpec(attacker="challenge-ack-exhaust"),
+        )
+        with Prognosis.from_spec(live_spec.clone(corpus=None)) as prognosis:
+            prognosis.learn()
+            report = run_attacks(live_spec, stale_model, prognosis.oracle)
+        (result,) = report.results
+        assert result.verdict == VERDICT_DIVERGED
+        assert not result.model_diff.equivalent
+
+    def test_failed_relearn_is_logged_not_swallowed(self, monkeypatch, caplog):
+        stale_spec = ExperimentSpec(target="tcp", seed=7, name="tcp")
+        with Prognosis.from_spec(stale_spec) as prognosis:
+            stale_model = prognosis.learn().model
+        live_spec = ExperimentSpec(
+            target="tcp-no-challenge-ack",
+            seed=7,
+            name="tcp",
+            attack=AttackSpec(attacker="challenge-ack-exhaust"),
+        )
+        with Prognosis.from_spec(live_spec) as prognosis:
+            prognosis.learn()
+
+            def broken_learn(self):
+                raise RuntimeError("relearn exploded")
+
+            monkeypatch.setattr(Prognosis, "learn", broken_learn)
+            with caplog.at_level(logging.WARNING, logger="repro.attack"):
+                report = run_attacks(live_spec, stale_model, prognosis.oracle)
+        (result,) = report.results
+        assert result.verdict == VERDICT_DIVERGED
+        assert result.model_diff is None
+        (record,) = [r for r in caplog.records if r.name.startswith("repro.attack")]
+        assert record.levelno == logging.WARNING
+        assert "tcp" in record.getMessage()
+        assert "relearn exploded" in str(record.exc_info[1])
 
     def test_report_to_dict_is_json_able(self, tmp_path):
         spec = ExperimentSpec(

@@ -1,9 +1,11 @@
 """Tests for the HTTP/2 adapter: alpha/gamma, registry, pooled identity."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.adapter.http2_adapter import (
-    HTTP2AdapterSUL,
     abstract_frame,
     abstract_frames,
     build_http2_sul,
@@ -64,7 +66,7 @@ class TestSymbolCodec:
 
 class TestHTTP2AdapterSUL:
     def test_query_records_oracle_entry(self):
-        sul = HTTP2AdapterSUL()
+        sul = build_http2_sul()
         outputs = sul.query((SETTINGS, REQUEST))
         assert str(outputs[0]) == "SETTINGS[]+SETTINGS[ACK]"
         assert str(outputs[1]) == "HEADERS[END_HEADERS]+DATA[END_STREAM]"
@@ -74,13 +76,13 @@ class TestHTTP2AdapterSUL:
         sul.close()
 
     def test_determinism_across_queries(self):
-        sul = HTTP2AdapterSUL()
+        sul = build_http2_sul()
         word = (SETTINGS, REQUEST, RST, REQUEST)
         assert sul.query(word) == sul.query(word)
         sul.close()
 
     def test_foreign_symbol_rejected(self):
-        sul = HTTP2AdapterSUL()
+        sul = build_http2_sul()
         with pytest.raises(TypeError):
             sul.query((parse_tcp_symbol("SYN(?,?,0)"),))
         sul.close()
@@ -110,29 +112,21 @@ class TestHTTP2AdapterSUL:
         sul.close()
 
 
+#: The http2 model (ttt, W-method with one extra state, seed 9) as learned
+#: by the monolithic adapter that predated ``compose()``; relabelled.
+GOLDEN_MODEL = Path(__file__).parent / "golden" / "http2_model.json"
+
+
 class TestComposedIdentity:
     def test_composed_stack_learns_the_monolithic_model(self):
-        """Satellite guarantee: migrating ``http2`` onto
-        ``compose(ReliableByteTransport, build_http2_app)`` left the
-        learned model byte-identical to the monolithic adapter's."""
-        from repro.core.mealy import behavior_fingerprint
-        from repro.framework import Prognosis
-
+        """The ``compose(ReliableByteTransport, build_http2_app)`` stack
+        learns byte-for-byte the model the monolithic adapter learned."""
         composed = learn_http2()
-        with Prognosis(
-            sul=HTTP2AdapterSUL(),
-            learner="ttt",
-            equivalence="wmethod",
-            extra_states=1,
-            name="http2-monolithic",
-        ) as monolithic:
-            model = monolithic.learn().model
-            assert model.num_states == composed.model.num_states == 5
-            assert model.relabel().structurally_equal(composed.model.relabel())
-            assert behavior_fingerprint(model) == behavior_fingerprint(
-                composed.model
-            )
-        composed.close()
+        try:
+            model = composed.model.relabel().to_dict()
+        finally:
+            composed.close()
+        assert model == json.loads(GOLDEN_MODEL.read_text())
 
 
 class TestLearnedModels:

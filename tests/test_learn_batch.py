@@ -20,7 +20,7 @@ from repro.learn.nondeterminism import (
     NondeterminismError,
     NondeterminismPolicy,
 )
-from repro.learn.teacher import CountingOracle, SULMembershipOracle, mq_suffix_batch
+from repro.learn.teacher import SULMembershipOracle, mq_suffix_batch
 
 
 class TestLongestCachedPrefix:
@@ -141,13 +141,6 @@ class TestBatchPlanner:
         # 1 executed (miss), 1 collapsed + 1 dup (hits).
         assert oracle.misses == 1
         assert oracle.hits == 2
-
-    def test_counting_oracle_passthrough(self, toy_machine, ab_alphabet):
-        syn, ack = ab_alphabet.symbols
-        counting = CountingOracle(SULMembershipOracle(MealySUL(toy_machine)))
-        words = [(syn,), (syn, ack)]
-        assert counting.query_batch(words) == [toy_machine.run(w) for w in words]
-        assert counting.stats.queries == 2
 
     def test_mq_suffix_batch(self, toy_machine, ab_alphabet):
         syn, ack = ab_alphabet.symbols

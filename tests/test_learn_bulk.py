@@ -9,21 +9,19 @@ from repro.core.trace import IOTrace
 from repro.framework import Prognosis
 from repro.learn.bulk import (
     CorpusFormatError,
-    CorpusSeededCache,
     bulk_passive_learn,
     generate_corpus,
     load_corpus_cache,
     read_jsonl_corpus,
     record_full_corpus,
-    seed_oracle_from_corpus,
     stream_corpus,
     write_jsonl_corpus,
 )
-from repro.learn.cache import QueryCache
+from repro.learn.cache import CacheInconsistencyError, CachedMembershipOracle, QueryCache
 from repro.learn.passive import TraceConflictError
-from repro.spec import ExperimentSpec, SpecError, assemble
+from repro.registry import MIDDLEWARE_REGISTRY, RegistryError, load_builtins
+from repro.spec import CorpusSpec, ExperimentSpec, SpecError, assemble
 from repro.store import QueryStore
-from repro.store.middleware import StoreBackedCache
 
 from repro.core.alphabet import TCPSymbol, parse_tcp_symbol
 
@@ -144,19 +142,30 @@ class TestIndexedCorpusOrdering:
         assert list(stream_corpus(session_traces())) == session_traces()
 
 
-class TestCorpusSeededCache:
-    def test_registered_as_passive_middleware(self):
-        from repro.registry import MIDDLEWARE_REGISTRY, load_builtins
+def close_pipeline(pipeline) -> None:
+    for layer in pipeline.middleware:
+        close = getattr(layer, "close", None)
+        if callable(close):
+            close()
+    close = getattr(pipeline.sul, "close", None)
+    if callable(close):
+        close()
 
+
+class TestCorpusSeededCache:
+    def test_store_and_passive_keys_are_gone(self):
         load_builtins()
-        assert "passive" in MIDDLEWARE_REGISTRY
+        assert sorted(MIDDLEWARE_REGISTRY) == ["cache", "majority-vote"]
+        spec = ExperimentSpec(target="toy", middleware=["passive"])
+        with pytest.raises(RegistryError, match="cache"):
+            spec.validate()
 
     def test_corpus_hits_counted(self, tmp_path, cached_oracle_for, toy_machine):
         path = tmp_path / "corpus.jsonl"
         write_jsonl_corpus(path, session_traces())
         inner = cached_oracle_for(toy_machine).inner
-        layer = CorpusSeededCache(inner, path)
-        assert layer.corpus_words == 3
+        layer = CachedMembershipOracle(inner, corpus=CorpusSpec(path=str(path)))
+        assert layer.corpus_stats.words == 3
         assert layer.corpus_skipped == 0
         assert layer.query((SYN, ACK)) == (SYNACK, NIL)  # corpus answers
         assert layer.corpus_hits == 1
@@ -164,32 +173,88 @@ class TestCorpusSeededCache:
         assert layer.corpus_hits == 1
         assert 0.0 < layer.corpus_hit_rate < 1.0
 
-    def test_conflicting_shared_cache_raises(self, tmp_path, cached_oracle_for, toy_machine):
-        from repro.learn.cache import CacheInconsistencyError
+    def test_counters_exist_without_sources(self, cached_oracle_for, toy_machine):
+        layer = cached_oracle_for(toy_machine)
+        layer.query((SYN, ACK))
+        layer.query((SYN,))
+        assert (layer.store_hits, layer.corpus_hits, layer.corpus_skipped) == (0, 0, 0)
+        assert layer.store_hit_rate == layer.corpus_hit_rate == 0.0
+        assert layer.corpus_stats.traces == 0
+        layer.close()  # no store: nothing to flush
 
+    def test_conflicting_shared_cache_line_is_skipped(
+        self, tmp_path, cached_oracle_for, toy_machine
+    ):
         path = tmp_path / "corpus.jsonl"
         write_jsonl_corpus(path, [IOTrace((SYN,), (NIL,))])  # wrong answer
         shared = QueryCache()
         shared.insert((SYN,), (SYNACK,))
         inner = cached_oracle_for(toy_machine).inner
+        layer = CachedMembershipOracle(
+            inner, cache=shared, corpus=CorpusSpec(path=str(path))
+        )
+        assert layer.corpus_skipped == 1
+        assert layer.corpus_stats.skipped[0].trace_index == 0
+        assert layer.cache.lookup((SYN,)) == (SYNACK,)  # shared answer wins
+        assert layer.corpus_cache.lookup((SYN,)) is None
+        with pytest.raises(TraceConflictError):
+            CachedMembershipOracle(
+                inner,
+                cache=shared,
+                corpus=CorpusSpec(path=str(path), skip_conflicts=False),
+            )
+
+    def test_corpus_line_conflicting_with_a_store_row_is_skipped(
+        self, tmp_path, cached_oracle_for, toy_machine
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl_corpus(corpus, [IOTrace((SYN, ACK), (NIL, NIL))])
+        with QueryStore(tmp_path / "s.sqlite") as store:
+            store.append("fp", (SYN,), (SYNACK,))
+        inner = cached_oracle_for(toy_machine).inner
+        layer = CachedMembershipOracle(
+            inner,
+            store=QueryStore(tmp_path / "s.sqlite"),
+            fingerprint="fp",
+            corpus=CorpusSpec(path=str(corpus)),
+        )
+        layer.close()
+        assert layer.corpus_skipped == 1
+        assert layer.cache.lookup((SYN, ACK)) is None
+        with QueryStore(tmp_path / "s.sqlite") as store:
+            assert store.word_count("fp") == 1  # the skipped line is not persisted
+
+    def test_store_row_conflicting_with_shared_cache_raises(
+        self, tmp_path, cached_oracle_for, toy_machine
+    ):
+        with QueryStore(tmp_path / "s.sqlite") as store:
+            store.append("fp", (SYN,), (NIL,))  # stale row
+        shared = QueryCache()
+        shared.insert((SYN,), (SYNACK,))
+        inner = cached_oracle_for(toy_machine).inner
+        store = QueryStore(tmp_path / "s.sqlite")
         with pytest.raises(CacheInconsistencyError):
-            CorpusSeededCache(inner, path, cache=shared)
+            CachedMembershipOracle(inner, cache=shared, store=store, fingerprint="fp")
+        with pytest.raises(Exception, match="closed"):
+            store.word_count("fp")  # the failed layer closed its store
 
 
 class TestSpecWiring:
-    def test_corpus_section_upgrades_cache_to_passive(self, tmp_path):
+    def test_corpus_section_seeds_the_cache_layer(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        write_jsonl_corpus(path, [])
+        write_jsonl_corpus(path, session_traces())
         spec = ExperimentSpec(
             target="toy", middleware=["cache"], corpus=str(path)
         )
         pipeline = assemble(spec)
         try:
-            assert isinstance(pipeline.middleware[0], CorpusSeededCache)
+            (layer,) = pipeline.middleware
+            assert type(layer) is CachedMembershipOracle
+            assert layer.corpus_stats.traces == 3
+            assert layer.cache.lookup((SYN, ACK)) == (SYNACK, NIL)
+            assert layer.store is None
         finally:
-            close = getattr(pipeline.sul, "close", None)
-            if callable(close):
-                close()
+            close_pipeline(pipeline)
 
     def test_corpus_requires_a_seedable_layer(self, tmp_path):
         spec = ExperimentSpec(
@@ -227,52 +292,61 @@ class TestSpecWiring:
         )
         pipeline = assemble(spec)
         try:
-            layer = pipeline.middleware[0]
-            assert isinstance(layer, StoreBackedCache)  # store wins the layer
+            (layer,) = pipeline.middleware
+            assert layer.store is not None  # one layer holds both sources
             assert layer.corpus_stats.traces == 3
             assert layer.corpus_skipped == 0
         finally:
-            for m in pipeline.middleware:
-                close = getattr(m, "close", None)
-                if callable(close):
-                    close()
-            close = getattr(pipeline.sul, "close", None)
-            if callable(close):
-                close()
+            close_pipeline(pipeline)
         with QueryStore(store) as persisted:
             assert persisted.word_count(spec.sul_fingerprint()) >= 3
+
+    def test_store_plus_corpus_reports_corpus_hits(self, tmp_path):
+        """With both a store and a covering corpus, the corpus answers
+        every query, and the report says so."""
+        corpus = tmp_path / "corpus.jsonl"
+        spec = ExperimentSpec(target="toy", seed=3)
+        record_full_corpus(spec, corpus)
+        both = spec.clone(corpus=str(corpus), store=str(tmp_path / "s.sqlite"))
+        with Prognosis.from_spec(both) as prognosis:
+            report = prognosis.learn()
+        assert report.sul_resets == 0
+        assert report.corpus_hits == report.oracle_queries > 0
+        assert report.corpus_hit_rate == 1.0
+        assert report.store_hits == 0  # the store was empty at the start
 
     def test_seed_oracle_skips_conflicts_with_existing_answers(
         self, cached_oracle_for, toy_machine, tmp_path
     ):
-        from repro.spec import CorpusSpec
-
         corpus = tmp_path / "corpus.jsonl"
         write_jsonl_corpus(
             corpus, [IOTrace((SYN, ACK), (NIL, NIL)), IOTrace((ACK,), (NIL,))]
         )
-        layer = cached_oracle_for(toy_machine)
-        layer.cache.insert((SYN,), (SYNACK,))  # contradicts corpus line 1
-        stats = seed_oracle_from_corpus(layer, CorpusSpec(path=str(corpus)))
-        assert len(stats.skipped) == 1
+        shared = QueryCache()
+        shared.insert((SYN,), (SYNACK,))  # contradicts corpus line 1
+        layer = CachedMembershipOracle(
+            cached_oracle_for(toy_machine).inner,
+            cache=shared,
+            corpus=CorpusSpec(path=str(corpus)),
+        )
+        assert len(layer.corpus_stats.skipped) == 1
         assert layer.cache.lookup((SYN,)) == (SYNACK,)  # existing answer wins
         assert layer.cache.lookup((SYN, ACK)) is None
         assert layer.cache.lookup((ACK,)) == (NIL,)
         assert layer.corpus_skipped == 1
 
-
     def test_seed_oracle_strict_mode_raises(
         self, cached_oracle_for, toy_machine, tmp_path
     ):
-        from repro.spec import CorpusSpec
-
         corpus = tmp_path / "corpus.jsonl"
         write_jsonl_corpus(corpus, [IOTrace((SYN, ACK), (NIL, NIL))])
-        layer = cached_oracle_for(toy_machine)
-        layer.cache.insert((SYN,), (SYNACK,))
+        shared = QueryCache()
+        shared.insert((SYN,), (SYNACK,))
         with pytest.raises(TraceConflictError):
-            seed_oracle_from_corpus(
-                layer, CorpusSpec(path=str(corpus), skip_conflicts=False)
+            CachedMembershipOracle(
+                cached_oracle_for(toy_machine).inner,
+                cache=shared,
+                corpus=CorpusSpec(path=str(corpus), skip_conflicts=False),
             )
 
     def test_bulk_learn_through_a_store_backed_stack(self, tmp_path):

@@ -1,10 +1,11 @@
 """Tests for the persistent query/model store subsystem.
 
-Covers the sqlite round-trips, the ``store`` middleware's hit attribution
+Covers the sqlite round-trips, the cache layer's store hit attribution
 and -- the headline guarantee -- warm-start identity: a re-learn through a
 populated store yields a byte-identical model with >= 90% of membership
 queries served from the store and zero SUL resets, on every executor
-backend.
+backend, and every store/corpus combination learns the model a plain
+cache learns.
 """
 
 import json
@@ -13,13 +14,14 @@ import sqlite3
 import pytest
 
 from repro.campaign import Campaign, run_spec
-from repro.learn.cache import CacheInconsistencyError
+from repro.framework import Prognosis
+from repro.learn.bulk import record_full_corpus
+from repro.learn.cache import CacheInconsistencyError, CachedMembershipOracle
 from repro.spec import ExecutorSpec, ExperimentSpec, SpecError, StoreSpec, assemble
 from repro.store import (
     FingerprintStats,
     ModelStore,
     QueryStore,
-    StoreBackedCache,
     StoreError,
     decode_word,
     encode_word,
@@ -241,8 +243,10 @@ class TestStoreSpecSection:
         )
         pipeline = assemble(spec)
         try:
-            assert isinstance(pipeline.middleware[0], StoreBackedCache)
-            assert pipeline.middleware[0].fingerprint == spec.sul_fingerprint()
+            (layer,) = pipeline.middleware
+            assert type(layer) is CachedMembershipOracle
+            assert layer.store is not None
+            assert layer.fingerprint == spec.sul_fingerprint()
         finally:
             for layer in pipeline.middleware:
                 layer.close()
@@ -284,6 +288,35 @@ class TestStoreBackedCache:
         assert _model_bytes(warm.model) == _model_bytes(cold.model)
         assert warm.report.store_hit_rate >= 0.9
         assert warm.report.sul_resets == 0
+
+    @pytest.mark.parametrize("target", ["toy", "tcp"])
+    @pytest.mark.parametrize(
+        "source", ["cache", "store-cold", "store-warm", "corpus", "store+corpus"]
+    )
+    def test_every_source_learns_the_plain_cache_model(self, tmp_path, target, source):
+        """Where cached answers come from never changes what is learned:
+        same model bytes and the same learner queries as a plain cache."""
+        spec = ExperimentSpec(target=target, name=target)
+        with Prognosis.from_spec(spec) as prognosis:
+            plain = prognosis.learn()
+        store, corpus = str(tmp_path / "s.sqlite"), str(tmp_path / "c.jsonl")
+        if "corpus" in source:
+            record_full_corpus(spec, corpus)
+        sourced = spec.clone(
+            store=store if "store" in source else None,
+            corpus=corpus if "corpus" in source else None,
+        )
+        if source == "store-warm":
+            with Prognosis.from_spec(sourced) as prognosis:
+                prognosis.learn()
+        with Prognosis.from_spec(sourced) as prognosis:
+            report = prognosis.learn()
+        assert _model_bytes(report.model) == _model_bytes(plain.model)
+        assert report.oracle_queries == plain.oracle_queries
+        if source in ("store-warm", "corpus", "store+corpus"):
+            assert report.sul_resets == 0
+        assert (report.store_hits > 0) == (source == "store-warm")
+        assert (report.corpus_hits > 0) == ("corpus" in source)
 
     def test_store_hits_attributed_only_to_preloaded(self, tmp_path):
         store = tmp_path / "store.sqlite"
